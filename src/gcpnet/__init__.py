@@ -1,11 +1,11 @@
 """Gradient conjugate prior networks for outlier-robust regression.
 
 Submodules:
-    special   A(alpha) solver, digamma, Gaussian quadrature
+    special   A(alpha) solver, digamma gap, Gaussian quadrature
     gcp       normal-gamma parameters, losses, prognostic estimates
     net       MLP heads, backprop, Adam, ensembles
     dynamics  training-dynamics ODE, equilibria, verification sweeps
-    data      synthetic generator, contamination, normalization, CSV
+    data      synthetic generator, contamination, normalization, CSV loading
     metrics   RMSE, rejection curves, AUC
     cli       command-line entry points
 """

@@ -179,6 +179,21 @@ def cmd_solve_a(args):
 # train
 
 
+def _typed_override(key, value):
+    """A --config value checked against the type of its default: integer
+    settings take JSON integers, the others take finite numbers."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(TRAIN_DEFAULTS[key], int):
+        if numeric and isinstance(value, int):
+            return value
+        raise UsageError(f"config key {key!r} expects an integer, "
+                         f"got {value!r}")
+    if numeric and math.isfinite(value):
+        return float(value)
+    raise UsageError(f"config key {key!r} expects a finite number, "
+                     f"got {value!r}")
+
+
 def _resolve_train_config(args):
     resolved = dict(TRAIN_DEFAULTS)
     if args.preset is not None:
@@ -194,10 +209,13 @@ def _resolve_train_config(args):
             raise UsageError(f"cannot read --config file: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"--config is not valid JSON: {exc}")
+        if not isinstance(overrides, dict):
+            raise UsageError("--config must hold a JSON object")
         unknown = set(overrides) - set(resolved)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        resolved.update(overrides)
+        resolved.update((key, _typed_override(key, value))
+                        for key, value in overrides.items())
     for flag, key in (("lr", "learning_rate"), ("dropout", "dropout"),
                       ("epochs", "epochs"), ("batch_size", "batch_size"),
                       ("hidden", "hidden"), ("seed", "seed"), ("n", "n"),
@@ -250,7 +268,7 @@ def _fit_model(train_norm, resolved, model_kind):
     if model_kind == "ensemble":
         ensemble, _ = net.train_ensemble(
             train_norm.dim, x, y, cfg, n_members=int(resolved["members"]),
-            hidden=hidden, dropout=dropout, kind="gcp")
+            hidden=hidden, dropout=dropout)
         return ensemble
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     cls = net.GaussianNet if model_kind == "baseline" else net.GcpNetwork
@@ -316,11 +334,6 @@ def cmd_train(args):
 # dynamics
 
 
-def _default_state(spec):
-    mean_c, var_c = dyn.mixture_mean_variance(spec)
-    return dyn.DynState(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
-
-
 def cmd_dynamics_simulate(args):
     spec = _contamination_spec(args, args.epsilon)
     if spec.epsilon > 0.0 and dyn.indicators(spec).c_go <= 0.0:
@@ -333,7 +346,7 @@ def cmd_dynamics_simulate(args):
         except ValueError as exc:
             raise UsageError(str(exc))
     else:
-        state = _default_state(spec)
+        state = dyn.default_state(spec)
     traj = dyn.integrate(state, spec, t_end=args.t_end, nodes=args.nodes,
                          settle_tol=args.settle_tol,
                          escape_bound=args.escape_bound)

@@ -1,17 +1,16 @@
 """Dataset plumbing for the regression experiments.
 
 Generation of the heteroscedastic synthetic benchmark, target contamination,
-train-statistics normalization, seeded splitting, and CSV ingestion/export.
+train-statistics normalization, seeded splitting, and CSV ingestion.
 All operations return new values; datasets are never mutated in place.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class NormStats:
     def transform_targets(self, y):
         return (np.asarray(y, dtype=float) - self.target_mean) / self.target_std
 
-    def inverse_features(self, x):
-        return np.asarray(x, dtype=float) * self.feature_std + self.feature_mean
-
-    def inverse_targets(self, y):
-        return np.asarray(y, dtype=float) * self.target_std + self.target_mean
-
     def inverse_mean_variance(self, mean, variance):
         """De-normalize a predictive mean and variance pair."""
         scale = self.target_std
@@ -53,13 +46,6 @@ class NormStats:
                 "feature_std": self.feature_std.tolist(),
                 "target_mean": self.target_mean,
                 "target_std": self.target_std}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(feature_mean=np.asarray(obj["feature_mean"], dtype=float),
-                   feature_std=np.asarray(obj["feature_std"], dtype=float),
-                   target_mean=float(obj["target_mean"]),
-                   target_std=float(obj["target_std"]))
 
 
 @dataclass(frozen=True)
@@ -266,29 +252,3 @@ def load_csv(path) -> Dataset:
                     f"non-numeric value {cell!r}") from None
     return Dataset(features=values[:, :-1], targets=values[:, -1])
 
-
-def save_csv(ds: Dataset, path):
-    """Write features, target, and (when known) the is_outlier column."""
-    header = [f"x{i}" for i in range(ds.dim)] + ["y"]
-    if ds.outlier_mask is not None:
-        header.append("is_outlier")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = ([repr(float(v)) for v in ds.features[i]]
-                   + [repr(float(ds.targets[i]))])
-            if ds.outlier_mask is not None:
-                row.append(str(int(ds.outlier_mask[i])))
-            writer.writerow(row)
-
-
-def save_norm_stats(stats: NormStats, path):
-    """JSON sidecar for the normalization statistics."""
-    with open(path, "w") as fh:
-        json.dump(stats.to_json(), fh, indent=2)
-
-
-def load_norm_stats(path) -> NormStats:
-    with open(path) as fh:
-        return NormStats.from_json(json.load(fh))

@@ -10,14 +10,13 @@ correction, super-polynomial mean closeness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .special import (
     NumericError,
-    default_nodes,
     delta_psi,
     hermite_rule,
     legendre_rule,
@@ -42,16 +41,14 @@ class NonConvergenceError(RuntimeError):
 
 
 def _dyn_nodes(nodes):
-    return nodes if nodes is not None else default_nodes(DYNAMICS_NODES_DEFAULT)
+    return nodes if nodes is not None else DYNAMICS_NODES_DEFAULT
 
 
 @dataclass(frozen=True)
 class ContaminationSpec:
     """Mixture (1-eps) * N(m_g, v_g) + eps * outlier.
 
-    `outlier` is ("gaussian", m_o, v_o), ("uniform", lo, hi), or
-    ("standardized", family, m_o, v_o) where the only supported family is
-    "gaussian".
+    `outlier` is ("gaussian", m_o, v_o) or ("uniform", lo, hi).
     """
 
     epsilon: float
@@ -73,12 +70,6 @@ class ContaminationSpec:
             _, lo, hi = self.outlier
             if not lo < hi:
                 raise ConditionError("uniform outlier requires lo < hi")
-        elif kind == "standardized":
-            _, family, m_o, v_o = self.outlier
-            if family != "gaussian":
-                raise ConditionError(f"unsupported standardized family {family!r}")
-            if not v_o > 0:
-                raise ConditionError("outlier variance must be positive")
         else:
             raise ConditionError(f"unknown outlier kind {kind!r}")
 
@@ -89,16 +80,7 @@ class ContaminationSpec:
         if self.epsilon < 1.0:
             comps.append((1.0 - self.epsilon, "gaussian", self.m_g, self.v_g))
         if self.epsilon > 0.0:
-            kind = self.outlier[0]
-            if kind == "gaussian":
-                comps.append((self.epsilon, "gaussian",
-                              self.outlier[1], self.outlier[2]))
-            elif kind == "standardized":
-                comps.append((self.epsilon, "gaussian",
-                              self.outlier[2], self.outlier[3]))
-            else:
-                comps.append((self.epsilon, "uniform",
-                              self.outlier[1], self.outlier[2]))
+            comps.append((self.epsilon,) + tuple(self.outlier))
         return comps
 
 
@@ -107,8 +89,6 @@ def outlier_moments(spec: ContaminationSpec) -> dict:
     kind = spec.outlier[0]
     if kind == "gaussian":
         _, mean, v = spec.outlier
-    elif kind == "standardized":
-        _, _, mean, v = spec.outlier
     else:
         _, lo, hi = spec.outlier
         mean = 0.5 * (lo + hi)
@@ -224,6 +204,13 @@ class DynState:
         return self.beta * (self.nu + 1.0) / self.nu
 
 
+def default_state(spec: ContaminationSpec) -> DynState:
+    """Start of a flow run: the mixture mean, nu = 1, alpha = 1.5 and the
+    beta that puts sigma at the mixture variance."""
+    mean_c, var_c = mixture_mean_variance(spec)
+    return DynState(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
+
+
 def flow(state: DynState, spec: ContaminationSpec, nodes=None):
     """Time derivatives (dm, dnu, dalpha, dbeta) plus the induced dsigma."""
     sigma = state.sigma
@@ -277,10 +264,7 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
         m, nu, alpha, beta = u
         if nu <= 0 or alpha <= 0 or beta <= 0:
             return None
-        sigma = beta * (nu + 1.0) / nu
-        f, g, h = fgh(m, alpha, sigma, spec, nodes=nodes)
-        return np.array([(2.0 * alpha + 1.0) * f, -h / (nu * (nu + 1.0)),
-                         -g, h / beta])
+        return np.array(flow(DynState(m, nu, alpha, beta), spec, nodes)[:4])
 
     def safe_rhs(u):
         r = rhs(u)
@@ -586,9 +570,7 @@ def equilibrium(spec: ContaminationSpec, guess=None, nodes=None) -> Equilibrium:
     if Newton cannot polish the integrated state."""
     check_condition(spec)
     if guess is None:
-        mean_c, var_c = mixture_mean_variance(spec)
-        start = DynState(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
-        traj = integrate(start, spec, t_end=400.0, nodes=nodes,
+        traj = integrate(default_state(spec), spec, t_end=400.0, nodes=nodes,
                          settle_tol=1e-6, max_steps=20000)
         end = traj.end_state()
         try:
@@ -886,11 +868,11 @@ def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
     if m is None:
         m = spec.m_g
     rows = []
-    for alpha in alpha_values:
-        for sigma in sigma_values:
-            _, g, h = fgh(m, float(alpha), float(sigma), spec, nodes=nodes)
-            dalpha = -g
-            dsigma = ((nu + 1.0) ** 2 / (nu**2 * sigma)
-                      + sigma / ((nu + 1.0) ** 2 * nu**2)) * h
-            rows.append((float(alpha), float(sigma), dalpha, dsigma))
+    for alpha in map(float, alpha_values):
+        for sigma in map(float, sigma_values):
+            # beta maps back to this sigma exactly at nu = 1
+            state = DynState(m=m, nu=nu, alpha=alpha,
+                             beta=sigma * nu / (nu + 1.0))
+            _, _, dalpha, _, dsigma = flow(state, spec, nodes=nodes)
+            rows.append((alpha, sigma, dalpha, dsigma))
     return rows

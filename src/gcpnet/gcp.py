@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, psi
 
-from .special import (alpha_table, delta_psi, digamma, default_nodes,
-                      gauss_weighted_integral, hermite_rule, solve_A,
-                      weighted_square_mean)
+from .special import (alpha_table, delta_psi, gauss_weighted_integral,
+                      hermite_rule, solve_A, weighted_square_mean)
 
 LOG_2PI = math.log(2.0 * math.pi)
+# Gauss-Hermite order of the log integral in correction_constants
+CORRECTION_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,6 @@ class GcpParams:
     @property
     def sigma(self) -> float:
         return self.beta * (self.nu + 1.0) / self.nu
-
-
-def sigma_of(params: GcpParams) -> float:
-    """sigma = beta*(nu+1)/nu, the scale entering every derived quantity."""
-    return params.sigma
 
 
 def posterior_update(params: GcpParams, y: float) -> GcpParams:
@@ -85,7 +81,7 @@ def kl_loss(params: GcpParams, fixed: GcpParams, y: float) -> float:
         - 0.5
         - alpha * math.log(beta / betap)
         + math.lgamma(alpha) - math.lgamma(alphap)
-        - (alpha - alphap) * digamma(alphap)
+        - (alpha - alphap) * float(psi(alphap))
         + alphap * (beta - betap) / betap
     )
 
@@ -98,51 +94,20 @@ def kl_grad(params: GcpParams, fixed: GcpParams, y: float):
     mp, nup, alphap, betap = post.m, post.nu, post.alpha, post.beta
     dm = alphap * nu * (m - mp) / betap
     dnu = alphap * (m - mp) ** 2 / (2.0 * betap) + 0.5 / nup - 0.5 / nu
-    dalpha = -math.log(beta / betap) + digamma(alpha) - digamma(alphap)
+    dalpha = -math.log(beta / betap) + float(psi(alpha) - psi(alphap))
     dbeta = -alpha / beta + alphap / betap
     return dm, dnu, dalpha, dbeta
 
 
-def student_nll(params: GcpParams, y: float) -> float:
-    """Negative log density of the marginal Student's t at y.
+def nll_terms_arrays(m, nu, alpha, beta, y):
+    """Negative log density of the marginal Student's t at y and its four
+    gradients, over aligned arrays; returns (nll, dm, dnu, dalpha, dbeta).
 
     The marginal has 2*alpha degrees of freedom, location m, and SQUARED
     scale sigma/alpha (sigma = beta*(nu+1)/nu), which simplifies to
 
         lnG(a) - lnG(a+1/2) + ln(2*pi)/2 + ln(sigma)/2
             + (a+1/2) * ln(1 + (y-m)^2/(2*sigma)).
-    """
-    if not math.isfinite(y):
-        raise ValueError(f"observation must be finite, got {y!r}")
-    m, alpha = params.m, params.alpha
-    sigma = params.sigma
-    z = y - m
-    return (
-        math.lgamma(alpha) - math.lgamma(alpha + 0.5)
-        + 0.5 * LOG_2PI + 0.5 * math.log(sigma)
-        + (alpha + 0.5) * math.log1p(z * z / (2.0 * sigma))
-    )
-
-
-def student_nll_grad(params: GcpParams, y: float):
-    """Analytic gradient of student_nll in (m, nu, alpha, beta)."""
-    m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
-    sigma = params.sigma
-    z = y - m
-    den = 2.0 * sigma + z * z
-    core = (alpha * z * z - sigma) / den
-    dm = -(2.0 * alpha + 1.0) * z / den
-    dnu = core / (nu * (nu + 1.0))
-    dalpha = delta_psi(alpha) + math.log1p(z * z / (2.0 * sigma))
-    dbeta = -core / beta
-    return dm, dnu, dalpha, dbeta
-
-
-def nll_terms_arrays(m, nu, alpha, beta, y):
-    """Vectorized student_nll and its four gradients over aligned arrays.
-
-    Returns (nll, dm, dnu, dalpha, dbeta); used by the training loop, which
-    needs per-sample values without constructing GcpParams objects.
     """
     sigma = beta * (nu + 1.0) / nu
     z = y - m
@@ -157,6 +122,23 @@ def nll_terms_arrays(m, nu, alpha, beta, y):
     dalpha = psi(alpha) - psi(alpha + 0.5) + log_term
     dbeta = -core / beta
     return nll, dm, dnu, dalpha, dbeta
+
+
+def _nll_terms(params: GcpParams, y: float):
+    if not math.isfinite(y):
+        raise ValueError(f"observation must be finite, got {y!r}")
+    return nll_terms_arrays(params.m, params.nu, params.alpha, params.beta, y)
+
+
+def student_nll(params: GcpParams, y: float) -> float:
+    """Scalar nll_terms_arrays: the marginal Student's t NLL at y."""
+    return float(_nll_terms(params, y)[0])
+
+
+def student_nll_grad(params: GcpParams, y: float):
+    """Scalar nll_terms_arrays: the gradient of student_nll in
+    (m, nu, alpha, beta)."""
+    return tuple(float(v) for v in _nll_terms(params, y)[1:])
 
 
 STUDENT_VARIANCE_INFINITE = math.inf
@@ -220,7 +202,7 @@ def correction_constants(alpha: float, sigma: float = 1.0,
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     s = 2.0 * (alpha - solve_A(alpha))
-    rule = hermite_rule(nodes if nodes is not None else default_nodes())
+    rule = hermite_rule(nodes if nodes is not None else CORRECTION_NODES)
     mean_log = gauss_weighted_integral(lambda y: np.log1p(y * y / s), rule)
     b = 2.0 * alpha / ((2.0 * alpha + 1.0) * weighted_square_mean(s))
     b0 = -mean_log - delta_psi(alpha)

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .gcp import (
-    GcpParams,
-    PrognosticEstimate,
-    STUDENT_VARIANCE_INFINITE,
-    nll_terms_arrays,
-)
+from .gcp import STUDENT_VARIANCE_INFINITE, nll_terms_arrays
 from .special import alpha_table
 
 POSITIVE_FLOOR = 1e-6
@@ -94,37 +89,18 @@ class MlpHead:
             m = self._adam_m.get(name, 0.0)
             v = self._adam_v.get(name, 0.0)
             m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * (g * g if name == "b2" else np.square(g))
+            v = beta2 * v + (1.0 - beta2) * (g * g)
             self._adam_m[name] = m
             self._adam_v[name] = v
             mhat = m / (1.0 - beta1**t)
             vhat = v / (1.0 - beta2**t)
-            step = lr * mhat / (np.sqrt(vhat) + eps)
-            if name == "b1":
-                self.b1 = self.b1 - step
-            elif name == "b2":
-                self.b2 = self.b2 - step
-            elif name == "w1":
-                self.w1 = self.w1 - step
-            else:
-                self.w2 = self.w2 - step
+            setattr(self, name, value - lr * mhat / (np.sqrt(vhat) + eps))
 
 
-def _dropout_masks(rng, rate, batch, hidden, count):
-    """Independent inverted-dropout masks, one per head, scaled by 1/keep."""
-    if rate <= 0.0:
-        return [None] * count
-    keep = 1.0 - rate
-    masks = []
-    for _ in range(count):
-        masks.append((rng.random((batch, hidden)) < keep) / keep)
-    return masks
+class HeadNetwork:
+    """Independent MlpHeads, one per name in HEAD_NAMES, on a shared input."""
 
-
-class GcpNetwork:
-    """Four-head network producing a normal-gamma belief per input."""
-
-    HEAD_NAMES = ("m", "nu", "alpha", "beta")
+    HEAD_NAMES = ()
 
     def __init__(self, in_dim: int, hidden: int = 50, dropout: float = 0.0,
                  rng: np.random.Generator | None = None):
@@ -138,37 +114,37 @@ class GcpNetwork:
         self.heads = {name: MlpHead(in_dim, hidden, rng) for name in self.HEAD_NAMES}
 
     def forward_raw(self, x, train=False, rng=None):
-        """Raw head outputs plus caches; dropout only when train=True."""
+        """Raw head outputs plus caches; dropout only when train=True.
+
+        Each head gets its own inverted-dropout mask, scaled by 1/keep and
+        drawn from `rng` in head order.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        masks = [None] * 4
-        if train and self.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward with dropout needs an rng")
-            masks = _dropout_masks(rng, self.dropout, x.shape[0], self.hidden, 4)
+        drop = train and self.dropout > 0.0
+        if drop and rng is None:
+            raise ValueError("training-mode forward with dropout needs an rng")
+        keep = 1.0 - self.dropout
         raws, caches = {}, {}
-        for name, mask in zip(self.HEAD_NAMES, masks):
+        for name in self.HEAD_NAMES:
+            mask = None
+            if drop:
+                mask = (rng.random((x.shape[0], self.hidden)) < keep) / keep
             out, cache = self.heads[name].forward(x, mask)
             raws[name] = out
             caches[name] = (cache, mask)
         return raws, caches
+
+
+class GcpNetwork(HeadNetwork):
+    """Four-head network producing a normal-gamma belief per input."""
+
+    HEAD_NAMES = ("m", "nu", "alpha", "beta")
 
     def predict_arrays(self, x):
         """Eval-mode belief parameters as four aligned arrays."""
         raws, _ = self.forward_raw(x, train=False)
         return (raws["m"], softplus(raws["nu"]), softplus(raws["alpha"]),
                 softplus(raws["beta"]))
-
-    def forward(self, x, mode="eval", rng=None):
-        """Belief for a single input row."""
-        if mode not in ("train", "eval"):
-            raise ValueError("mode must be 'train' or 'eval'")
-        raws, _ = self.forward_raw(x, train=(mode == "train"), rng=rng)
-        return GcpParams(
-            m=float(raws["m"][0]),
-            nu=float(softplus(raws["nu"])[0]),
-            alpha=float(softplus(raws["alpha"])[0]),
-            beta=float(softplus(raws["beta"])[0]),
-        )
 
     def loss_and_head_grads(self, raws, y):
         """Per-sample NLL plus gradients with respect to each raw head output."""
@@ -186,35 +162,10 @@ class GcpNetwork:
         return nll, grads
 
 
-class GaussianNet:
+class GaussianNet(HeadNetwork):
     """Mean/log-variance baseline trained on the Gaussian NLL."""
 
     HEAD_NAMES = ("mean", "logvar")
-
-    def __init__(self, in_dim: int, hidden: int = 50, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.dropout = dropout
-        self.heads = {name: MlpHead(in_dim, hidden, rng) for name in self.HEAD_NAMES}
-
-    def forward_raw(self, x, train=False, rng=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        masks = [None] * 2
-        if train and self.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward with dropout needs an rng")
-            masks = _dropout_masks(rng, self.dropout, x.shape[0], self.hidden, 2)
-        raws, caches = {}, {}
-        for name, mask in zip(self.HEAD_NAMES, masks):
-            out, cache = self.heads[name].forward(x, mask)
-            raws[name] = out
-            caches[name] = (cache, mask)
-        return raws, caches
 
     def predict_arrays(self, x):
         """Eval-mode (mean, variance) arrays."""
@@ -310,21 +261,16 @@ class Ensemble:
 
     members: list
 
-    @property
-    def kind(self):
-        return "gcp" if isinstance(self.members[0], GcpNetwork) else "gaussian"
-
 
 def train_ensemble(in_dim, features, targets, config: TrainConfig,
-                   n_members: int = 5, hidden: int = 50, dropout: float = 0.0,
-                   kind: str = "gcp") -> tuple[Ensemble, list]:
-    """Train `n_members` nets from independently spawned seed streams."""
+                   n_members: int = 5, hidden: int = 50,
+                   dropout: float = 0.0) -> tuple[Ensemble, list]:
+    """Train `n_members` GcpNetworks from independently spawned seed streams."""
     seeds = np.random.SeedSequence(config.seed).spawn(n_members)
     members, traces = [], []
-    for i, seq in enumerate(seeds):
+    for seq in seeds:
         rng = np.random.Generator(np.random.PCG64(seq))
-        cls = GcpNetwork if kind == "gcp" else GaussianNet
-        net = cls(in_dim, hidden=hidden, dropout=dropout, rng=rng)
+        net = GcpNetwork(in_dim, hidden=hidden, dropout=dropout, rng=rng)
         member_config = TrainConfig(
             learning_rate=config.learning_rate, epochs=config.epochs,
             batch_size=config.batch_size, seed=int(seq.generate_state(1)[0]),
@@ -363,51 +309,23 @@ def ensemble_prognostic_arrays(ensemble: Ensemble, x):
     mix_mean = means.mean(axis=0)
     v_p_mix = (np.stack(v_ps) + means**2).mean(axis=0) - mix_mean**2
     v_st_stack = np.stack(v_sts)
-    if np.all(np.isfinite(v_st_stack)):
-        v_st_mix = (v_st_stack + means**2).mean(axis=0) - mix_mean**2
-    else:
-        finite_part = np.where(np.isfinite(v_st_stack), v_st_stack, 0.0)
-        v_st_mix = (finite_part + means**2).mean(axis=0) - mix_mean**2
-        v_st_mix = np.where(np.isfinite(v_st_stack).all(axis=0), v_st_mix,
-                            STUDENT_VARIANCE_INFINITE)
+    finite = np.isfinite(v_st_stack)
+    finite_part = np.where(finite, v_st_stack, 0.0)
+    v_st_mix = (finite_part + means**2).mean(axis=0) - mix_mean**2
+    v_st_mix = np.where(finite.all(axis=0), v_st_mix, STUDENT_VARIANCE_INFINITE)
     return mix_mean, v_p_mix, v_st_mix, np.stack(alphas).mean(axis=0)
 
 
-def gaussian_ensemble_arrays(ensemble: Ensemble, x):
-    """Mixture mean/variance for the Gaussian baseline ensemble."""
-    means, variances = [], []
-    for net in ensemble.members:
-        mean, var = net.predict_arrays(x)
-        means.append(mean)
-        variances.append(var)
-    means = np.stack(means)
-    mix_mean = means.mean(axis=0)
-    mix_var = (np.stack(variances) + means**2).mean(axis=0) - mix_mean**2
-    return mix_mean, mix_var
-
-
-def predict_ensemble(ensemble: Ensemble, x) -> PrognosticEstimate:
-    """Single-row mixture prognostic for a belief-network ensemble."""
-    mix_mean, v_p, v_st, alpha = ensemble_prognostic_arrays(
-        ensemble, np.atleast_2d(np.asarray(x, dtype=float)))
-    return PrognosticEstimate(
-        mean=float(mix_mean[0]), variance=float(v_p[0]),
-        student_variance=float(v_st[0]), alpha=float(alpha[0]))
-
-
 def _head_state(head: MlpHead):
-    return {
-        "w1": head.w1.tolist(), "b1": head.b1.tolist(),
-        "w2": head.w2.tolist(), "b2": head.b2,
-    }
+    return {name: np.asarray(value).tolist()
+            for name, value in head.params().items()}
 
 
 def _load_head(state, in_dim, hidden):
     head = MlpHead(in_dim, hidden, np.random.default_rng(0))
-    head.w1 = np.asarray(state["w1"], dtype=float).reshape(in_dim, hidden)
-    head.b1 = np.asarray(state["b1"], dtype=float)
-    head.w2 = np.asarray(state["w2"], dtype=float)
-    head.b2 = float(state["b2"])
+    for name, init in head.params().items():
+        value = np.asarray(state[name], dtype=float).reshape(np.shape(init))
+        setattr(head, name, value if value.ndim else float(value))
     return head
 
 

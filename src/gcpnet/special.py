@@ -23,55 +23,23 @@ once s leaves the node range (128 nodes resolve it only for alpha roughly in
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfcx, roots_hermite, roots_legendre
+from scipy.special import erfcx, psi, roots_hermite, roots_legendre
 
 
 class NumericError(RuntimeError):
     """A quadrature or solver produced a non-finite or uncertifiable result."""
 
 
-# coefficients of the de Moivre tail: psi(x) ~ ln x - 1/(2x) - sum c_k x^(-2k)
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
-def digamma(x: float) -> float:
-    """Digamma via the ascending recurrence and the asymptotic tail.
-
-    Accurate to about 1e-13 relative for x >= 1e-6.  Raises ValueError for
-    non-positive arguments.
-    """
-    if not x > 0:
-        raise ValueError(f"digamma requires a positive argument, got {x!r}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_TAIL):
-        tail = inv2 * (c + tail)
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 def delta_psi(alpha: float) -> float:
     """Psi(alpha) - Psi(alpha + 1/2); strictly negative, increasing to 0."""
     if not alpha > 0:
         raise ValueError(f"delta_psi requires alpha > 0, got {alpha!r}")
-    return digamma(alpha) - digamma(alpha + 0.5)
+    return float(psi(alpha) - psi(alpha + 0.5))
 
 
 @dataclass(frozen=True)
@@ -126,17 +94,6 @@ def gauss_weighted_integral(f, rule: QuadratureRule) -> float:
     if not math.isfinite(acc):
         raise NumericError("integrand produced a non-finite value at a node")
     return acc
-
-
-def default_nodes(fallback: int = 128) -> int:
-    """Node-count default, overridable through GCP_QUAD_NODES."""
-    raw = os.environ.get("GCP_QUAD_NODES")
-    if raw is None:
-        return fallback
-    n = int(raw)
-    if n < 1:
-        raise ValueError("GCP_QUAD_NODES must be a positive integer")
-    return n
 
 
 def rational_mean_complement(s: float) -> float:

@@ -116,7 +116,11 @@ class TestTrain:
     def test_csv_dataset_roundtrip(self, tmp_path):
         ds = dat.generate_synthetic(dat.SyntheticSpec(n=120, seed=4))
         path = tmp_path / "toy.csv"
-        dat.save_csv(dat.Dataset(ds.features, ds.targets), path)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x0", "y"])
+            for x, y in zip(ds.features[:, 0].tolist(), ds.targets.tolist()):
+                writer.writerow([repr(x), repr(y)])
         out = tmp_path / "run"
         assert cli.main(["train", str(path), "--epochs", "15",
                          "--out", str(out)]) == 0
@@ -147,6 +151,20 @@ class TestTrain:
         cfg.write_text(json.dumps({"learning_rat": 1.0}))
         assert cli.main(["train", "synthetic", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"members": "3"}, {"learning_rate": None}, {"epochs": 2.7},
+        ["epochs", 8]])
+    def test_config_rejects_mistyped_values(self, tmp_path, capsys,
+                                            overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "o"
+        assert cli.main(["train", "synthetic", "--config", str(cfg),
+                         "--n", "60", "--test-n", "20", "--epochs", "1",
+                         "--out", str(out)]) == 2
+        assert "config" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_divergent_training_exits_numeric(self, tmp_path):
         # a step this size overflows the heads, so the next loss is non-finite

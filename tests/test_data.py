@@ -1,6 +1,8 @@
 """Tests for dataset generation, contamination, normalization, splitting,
 and CSV round trips."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,17 @@ def make_dataset(n=50, d=2, seed=0):
     x = rng.normal(size=(n, d))
     y = x[:, 0] * 2.0 + rng.normal(size=n)
     return dat.Dataset(features=x, targets=y)
+
+
+def write_csv(path, header, rows):
+    """Cells are written with repr (floats) or str (ints), both of which
+    load_csv must read back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                             for v in row])
 
 
 class TestDataset:
@@ -143,11 +156,12 @@ class TestNormalize:
     def test_round_trip(self):
         ds = make_dataset()
         out = dat.normalize(ds)
+        stats = out.normalization
         np.testing.assert_allclose(
-            out.normalization.inverse_features(out.features), ds.features,
-            atol=1e-12)
+            out.features * stats.feature_std + stats.feature_mean,
+            ds.features, atol=1e-12)
         np.testing.assert_allclose(
-            out.normalization.inverse_targets(out.targets), ds.targets,
+            out.targets * stats.target_std + stats.target_mean, ds.targets,
             atol=1e-12)
 
     def test_test_split_keeps_train_statistics(self):
@@ -157,8 +171,9 @@ class TestNormalize:
                               targets=shifted.targets + 5.0)
         test = dat.apply_normalization(shifted, train.normalization)
         assert abs(test.targets.mean()) > 1.0
+        stats = train.normalization
         np.testing.assert_allclose(
-            train.normalization.inverse_targets(test.targets),
+            test.targets * stats.target_std + stats.target_mean,
             shifted.targets, atol=1e-12)
 
     def test_zero_variance_column_dropped_with_warning(self):
@@ -257,11 +272,11 @@ class TestCsv:
     def test_roundtrip_with_outlier_column(self, tmp_path):
         ds = dat.generate_synthetic(dat.SyntheticSpec(n=50, seed=9))
         p = tmp_path / "synth.csv"
-        dat.save_csv(ds, p)
-        header = p.read_text().splitlines()[0]
-        assert header == "x0,y,is_outlier"
+        write_csv(p, ["x0", "y", "is_outlier"],
+                  zip(ds.features[:, 0].tolist(), ds.targets.tolist(),
+                      ds.outlier_mask.astype(int).tolist()))
         # read back generically: x and y become features, the trailing
-        # mask column lands in the target slot
+        # integer mask column lands in the target slot
         back = dat.load_csv(p)
         assert back.dim == 2
         np.testing.assert_array_equal(back.features[:, 0], ds.features[:, 0])
@@ -272,18 +287,21 @@ class TestCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         ds = make_dataset(n=25, d=3)
         p = tmp_path / "plain.csv"
-        dat.save_csv(ds, p)
+        write_csv(p, ["x0", "x1", "x2", "y"],
+                  np.column_stack([ds.features, ds.targets]).tolist())
         back = dat.load_csv(p)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
 
 class TestNormStatsSidecar:
-    def test_json_roundtrip(self, tmp_path):
-        out = dat.normalize(make_dataset())
-        p = tmp_path / "stats.json"
-        dat.save_norm_stats(out.normalization, p)
-        loaded = dat.load_norm_stats(p)
-        np.testing.assert_array_equal(loaded.feature_mean,
-                                      out.normalization.feature_mean)
-        assert loaded.target_std == out.normalization.target_std
+    def test_json_roundtrip(self):
+        # the statistics ride in checkpoint.json and must survive JSON exactly
+        stats = dat.normalize(make_dataset()).normalization
+        loaded = json.loads(json.dumps(stats.to_json()))
+        np.testing.assert_array_equal(loaded["feature_mean"],
+                                      stats.feature_mean)
+        np.testing.assert_array_equal(loaded["feature_std"],
+                                      stats.feature_std)
+        assert loaded["target_mean"] == stats.target_mean
+        assert loaded["target_std"] == stats.target_std

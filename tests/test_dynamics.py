@@ -28,10 +28,6 @@ class TestContaminationSpec:
     def test_zero_epsilon_drops_outlier_component(self):
         assert len(spec_at(0.0).components()) == 1
 
-    def test_standardized_alias_maps_to_gaussian_component(self):
-        s = spec_at(0.1, outlier=("standardized", "gaussian", 3.0, 2.0))
-        assert s.components()[1] == (0.1, "gaussian", 3.0, 2.0)
-
     def test_validation(self):
         with pytest.raises(dyn.ConditionError):
             spec_at(-0.1)
@@ -102,12 +98,6 @@ class TestIntegrals:
             a = dyn.fgh(0.2, alpha, sigma, clean)
             b = dyn.fgh(0.2, alpha, sigma, masked)
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-
-    def test_standardized_equals_plain_gaussian(self):
-        a = dyn.fgh(0.1, 1.5, 1.1, spec_at(0.2, outlier=("gaussian", 4.0, 1.5)))
-        b = dyn.fgh(0.1, 1.5, 1.1,
-                    spec_at(0.2, outlier=("standardized", "gaussian", 4.0, 1.5)))
-        np.testing.assert_array_equal(a, b)
 
     def test_shape_balance_vanishes_on_known_manifold(self):
         # clean Gaussian data: H = 0 exactly where sigma = v_g (alpha - A)

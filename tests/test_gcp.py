@@ -28,7 +28,6 @@ class TestGcpParams:
     def test_sigma_definition(self):
         p = gcp.GcpParams(m=0.0, nu=2.0, alpha=1.0, beta=3.0)
         np.testing.assert_allclose(p.sigma, 3.0 * 3.0 / 2.0, rtol=1e-15)
-        assert gcp.sigma_of(p) == p.sigma
 
     def test_rejects_nonpositive_and_nonfinite(self):
         with pytest.raises(ValueError):

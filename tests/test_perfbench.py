@@ -1,0 +1,40 @@
+"""The benchmark's tracer (perfbench/tracing.py) looks gcpnet's functions
+and methods up by name when it installs.  Installing it here makes a
+refactor that renames or drops one of those names fail in this suite, not
+only in a benchmark run."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from gcpnet import dynamics, net
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_full_tracer_installs_counts_and_uninstalls():
+    tracing = load_tracing()
+    originals = (net.train, net.MlpHead.adam_step, dynamics.fgh)
+    recorder = tracing.Recorder(full=True).install()
+    try:
+        assert net.train is not originals[0]
+        model = net.GcpNetwork(1, hidden=3, rng=np.random.default_rng(0))
+        x = np.linspace(-1.0, 1.0, 8).reshape(-1, 1)
+        net.train(model, x, np.sin(x[:, 0]),
+                  net.TrainConfig(epochs=1, batch_size=4))
+    finally:
+        recorder.uninstall()
+    assert (net.train, net.MlpHead.adam_step, dynamics.fgh) == originals
+    counts = recorder.counts()
+    # two batches of four heads, and one loss per batch
+    assert counts["net.adam"][0] == 8
+    assert counts["net.loss"][0] == 2
+    assert [s["steps"] for s in recorder.spans if s["name"] == "net.train"] == [2]
