@@ -14,7 +14,6 @@ import json
 import math
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -231,6 +230,8 @@ def _resolve_train_config(args):
         raise UsageError("contamination must lie in [0, 1)")
     if resolved["members"] < 1:
         raise UsageError("members must be at least 1")
+    if resolved["hidden"] < 1:
+        raise UsageError("hidden must be at least 1")
     return resolved
 
 
@@ -335,6 +336,9 @@ def cmd_train(args):
 
 
 def cmd_dynamics_simulate(args):
+    if not (math.isfinite(args.t_end) and args.t_end > 0.0):
+        raise UsageError(f"--t-end must be positive and finite, "
+                         f"got {args.t_end}")
     spec = _contamination_spec(args, args.epsilon)
     if spec.epsilon > 0.0 and dyn.indicators(spec).c_go <= 0.0:
         print("warning: outlier indicator c_go <= 0; the trajectory may "
@@ -486,27 +490,18 @@ def cmd_bench(args):
     repeats = args.repeats
     if repeats < 1:
         raise UsageError("--repeats must be at least 1")
-    jobs = []
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    long_rows = []
     for fi, fraction in enumerate(fractions):
         for rep in range(repeats):
-            idx = fi * repeats + rep
             job_seed = int(np.random.SeedSequence(
                 entropy=int(resolved["seed"]),
-                spawn_key=(idx,)).generate_state(1)[0])
-            jobs.append((fraction, rep, job_seed))
-
-    def run(job):
-        fraction, rep, job_seed = job
-        return [(fraction, rep, job_seed, model, rmse_v, auc_v)
+                spawn_key=(fi * repeats + rep,)).generate_state(1)[0])
+            long_rows.extend(
+                (fraction, rep, job_seed, model, rmse_v, auc_v)
                 for model, rmse_v, auc_v in _bench_job(
-                    args.data, resolved, fraction, job_seed, args.ensemble)]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(job) for job in jobs]
-    long_rows = [row for chunk in chunks for row in chunk]
+                    args.data, resolved, fraction, job_seed, args.ensemble))
 
     summary_rows = []
     models = sorted({row[3] for row in long_rows})
@@ -663,7 +658,10 @@ def _build_parser():
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--ensemble", action="store_true",
                        help="also run the ensemble variant")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=int, default=1,
+                       help="at least 1 and recorded in manifest.json; "
+                       "cells run serially, because training holds the "
+                       "GIL and a thread pool only made them slower")
     bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,10 +1,10 @@
 """Single-hidden-layer regression heads with manual backprop and Adam.
 
-Four independent ReLU MLP heads predict the raw outputs; a shifted softplus
-maps the raw values for the precision-carrying outputs onto (0, inf).  The
-Gaussian baseline shares the same machinery with a mean head and a raw
-log-variance head.  Everything is plain numpy so a trained model serializes
-losslessly to JSON.
+Four independent ReLU MLP heads, stacked in one block whose weights share a
+flat buffer, predict the raw outputs; a shifted softplus maps the raw values
+for the precision-carrying outputs onto (0, inf).  The Gaussian baseline
+shares the same machinery with a mean head and a raw log-variance head.
+Everything is plain numpy so a trained model serializes losslessly to JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .gcp import STUDENT_VARIANCE_INFINITE, nll_terms_arrays
 from .special import alpha_table
 
 POSITIVE_FLOOR = 1e-6
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 def softplus(x):
@@ -43,62 +44,84 @@ class TrainingDiverged(RuntimeError):
 
 
 class MlpHead:
-    """One scalar-output MLP: x -> relu(x W1 + b1) W2 + b2."""
+    """K scalar-output MLPs stacked in one block: x -> relu(x W1 + b1) W2 + b2.
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        lim = math.sqrt(6.0 / in_dim)
-        self.w1 = rng.uniform(-lim, lim, size=(in_dim, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.uniform(-0.01, 0.01, size=hidden)
-        self.b2 = 0.0
-        self._adam_m = {}
-        self._adam_v = {}
+    The parameters w1 (K, D, H), b1 (K, H), w2 (K, H) and b2 (K,) are views
+    into one flat buffer; the gradients and the Adam moments are flat
+    buffers of the same layout, so one vectorized update steps every head.
+    """
+
+    def __init__(self, n_heads: int, in_dim: int, hidden: int,
+                 rng: np.random.Generator):
+        if in_dim < 1 or hidden < 1:
+            raise ValueError("in_dim and hidden must be at least 1")
+        self.shape = (n_heads, in_dim, hidden)
+        self.flat = np.zeros(n_heads * (in_dim * hidden + 2 * hidden + 1))
+        self.grad = np.zeros_like(self.flat)
+        self._adam_m = np.zeros_like(self.flat)
+        self._adam_v = np.zeros_like(self.flat)
         self._adam_t = 0
+        self.w1, self.b1, self.w2, self.b2 = self._views(self.flat)
+        self.grads = dict(zip(PARAM_NAMES, self._views(self.grad)))
+        lim = math.sqrt(6.0 / in_dim)
+        for k in range(n_heads):
+            self.w1[k] = rng.uniform(-lim, lim, size=(in_dim, hidden))
+            self.w2[k] = rng.uniform(-0.01, 0.01, size=hidden)
+
+    def _views(self, buf):
+        k, d, h = self.shape
+        w1, b1, w2, b2 = np.split(buf, np.cumsum([k * d * h, k * h, k * h]))
+        return w1.reshape(k, d, h), b1.reshape(k, h), w2.reshape(k, h), b2
 
     def params(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def forward(self, x, mask=None):
-        """Batched forward pass; `mask` is a pre-scaled inverted-dropout mask."""
-        pre = x @ self.w1 + self.b1
+        """(K, B) outputs; `mask` is a pre-scaled (K, B, H) dropout mask."""
+        pre = x @ self.w1 + self.b1[:, None, :]
         h = np.maximum(pre, 0.0)
         if mask is not None:
             h = h * mask
-        out = h @ self.w2 + self.b2
+        out = (h @ self.w2[:, :, None])[:, :, 0] + self.b2[:, None]
         return out, (pre, h)
 
     def backward(self, x, cache, dout, mask=None):
-        """Gradients of sum(dout * out); `mask` must match the forward pass."""
+        """Fill `grad` with the gradient of sum(dout * out); `mask` must
+        match the forward pass."""
         pre, h = cache
-        dw2 = h.T @ dout
-        db2 = float(np.sum(dout))
-        dh = np.outer(dout, self.w2)
+        g = self.grads
+        np.matmul(h.transpose(0, 2, 1), dout[:, :, None],
+                  out=g["w2"][:, :, None])
+        np.sum(dout, axis=1, out=g["b2"])
+        dh = dout[:, :, None] * self.w2[:, None, :]
         if mask is not None:
             dh = dh * mask
         dpre = dh * (pre > 0.0)
-        dw1 = x.T @ dpre
-        db1 = dpre.sum(axis=0)
-        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+        np.matmul(x.T, dpre, out=g["w1"])
+        np.sum(dpre, axis=1, out=g["b1"])
 
-    def adam_step(self, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        """One bias-corrected Adam update applied in place."""
+    def finite_heads(self):
+        """Per head, whether every entry of its gradient is finite."""
+        return [all(np.isfinite(g[k]).all() for g in self.grads.values())
+                for k in range(self.shape[0])]
+
+    def adam_step(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        """One bias-corrected Adam update of every head, applied in place."""
         self._adam_t += 1
         t = self._adam_t
-        for name, value in self.params().items():
-            g = grads[name]
-            m = self._adam_m.get(name, 0.0)
-            v = self._adam_v.get(name, 0.0)
-            m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * (g * g)
-            self._adam_m[name] = m
-            self._adam_v[name] = v
-            mhat = m / (1.0 - beta1**t)
-            vhat = v / (1.0 - beta2**t)
-            setattr(self, name, value - lr * mhat / (np.sqrt(vhat) + eps))
+        g, m, v = self.grad, self._adam_m, self._adam_v
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        mhat = m / (1.0 - beta1**t)
+        vhat = v / (1.0 - beta2**t)
+        self.flat -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 class HeadNetwork:
-    """Independent MlpHeads, one per name in HEAD_NAMES, on a shared input."""
+    """One MlpHead block with a head per name in HEAD_NAMES, on a shared
+    input."""
 
     HEAD_NAMES = ()
 
@@ -111,28 +134,26 @@ class HeadNetwork:
         self.in_dim = in_dim
         self.hidden = hidden
         self.dropout = dropout
-        self.heads = {name: MlpHead(in_dim, hidden, rng) for name in self.HEAD_NAMES}
+        self.block = MlpHead(len(self.HEAD_NAMES), in_dim, hidden, rng)
 
     def forward_raw(self, x, train=False, rng=None):
-        """Raw head outputs plus caches; dropout only when train=True.
+        """(K, B) raw head outputs plus (cache, mask); dropout only when
+        train=True.
 
-        Each head gets its own inverted-dropout mask, scaled by 1/keep and
-        drawn from `rng` in head order.
+        Each head gets its own inverted-dropout mask, scaled by 1/keep; one
+        (K, B, H) draw from `rng` fills them in head order.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        drop = train and self.dropout > 0.0
-        if drop and rng is None:
-            raise ValueError("training-mode forward with dropout needs an rng")
-        keep = 1.0 - self.dropout
-        raws, caches = {}, {}
-        for name in self.HEAD_NAMES:
-            mask = None
-            if drop:
-                mask = (rng.random((x.shape[0], self.hidden)) < keep) / keep
-            out, cache = self.heads[name].forward(x, mask)
-            raws[name] = out
-            caches[name] = (cache, mask)
-        return raws, caches
+        mask = None
+        if train and self.dropout > 0.0:
+            if rng is None:
+                raise ValueError("training-mode forward with dropout needs "
+                                 "an rng")
+            keep = 1.0 - self.dropout
+            shape = (len(self.HEAD_NAMES), x.shape[0], self.hidden)
+            mask = (rng.random(shape) < keep) / keep
+        raw, cache = self.block.forward(x, mask)
+        return raw, (cache, mask)
 
 
 class GcpNetwork(HeadNetwork):
@@ -142,24 +163,20 @@ class GcpNetwork(HeadNetwork):
 
     def predict_arrays(self, x):
         """Eval-mode belief parameters as four aligned arrays."""
-        raws, _ = self.forward_raw(x, train=False)
-        return (raws["m"], softplus(raws["nu"]), softplus(raws["alpha"]),
-                softplus(raws["beta"]))
+        raw, _ = self.forward_raw(x, train=False)
+        nu, alpha, beta = softplus(raw[1:])
+        return raw[0], nu, alpha, beta
 
-    def loss_and_head_grads(self, raws, y):
-        """Per-sample NLL plus gradients with respect to each raw head output."""
-        m = raws["m"]
-        nu = softplus(raws["nu"])
-        alpha = softplus(raws["alpha"])
-        beta = softplus(raws["beta"])
-        nll, dm, dnu, dalpha, dbeta = nll_terms_arrays(m, nu, alpha, beta, y)
-        grads = {
-            "m": dm,
-            "nu": dnu * softplus_grad(raws["nu"]),
-            "alpha": dalpha * softplus_grad(raws["alpha"]),
-            "beta": dbeta * softplus_grad(raws["beta"]),
-        }
-        return nll, grads
+    def loss_and_head_grads(self, raw, y):
+        """Per-sample NLL plus its (K, B) gradient with respect to the raw
+        head outputs."""
+        nu, alpha, beta = softplus(raw[1:])
+        nll, dm, dnu, dalpha, dbeta = nll_terms_arrays(raw[0], nu, alpha,
+                                                       beta, y)
+        dout = np.empty_like(raw)
+        dout[0] = dm
+        dout[1:] = np.stack((dnu, dalpha, dbeta)) * softplus_grad(raw[1:])
+        return nll, dout
 
 
 class GaussianNet(HeadNetwork):
@@ -169,20 +186,15 @@ class GaussianNet(HeadNetwork):
 
     def predict_arrays(self, x):
         """Eval-mode (mean, variance) arrays."""
-        raws, _ = self.forward_raw(x, train=False)
-        return raws["mean"], np.exp(raws["logvar"])
+        raw, _ = self.forward_raw(x, train=False)
+        return raw[0], np.exp(raw[1])
 
-    def loss_and_head_grads(self, raws, y):
-        mean = raws["mean"]
-        logvar = raws["logvar"]
+    def loss_and_head_grads(self, raw, y):
+        mean, logvar = raw
         z = y - mean
         inv = np.exp(-logvar)
         nll = 0.5 * (math.log(2.0 * math.pi) + logvar + z * z * inv)
-        grads = {
-            "mean": -z * inv,
-            "logvar": 0.5 * (1.0 - z * z * inv),
-        }
-        return nll, grads
+        return nll, np.stack((-z * inv, 0.5 * (1.0 - z * z * inv)))
 
 
 @dataclass
@@ -210,6 +222,15 @@ class TrainResult:
     epoch_nll: list = field(default_factory=list)
 
 
+def _blamed_column(dout):
+    """Batch column behind a non-finite gradient: the first with a
+    non-finite entry, else (only a reduction overflowed) the largest."""
+    bad = ~np.isfinite(dout).all(axis=0)
+    if bad.any():
+        return int(np.argmax(bad))
+    return int(np.argmax(np.abs(dout).max(axis=0)))
+
+
 def train(model, features, targets, config: TrainConfig) -> TrainResult:
     """Seeded minibatch training; returns the per-epoch mean NLL trace.
 
@@ -229,27 +250,27 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            raws, caches = model.forward_raw(xb, train=True, rng=rng)
-            nll, head_grads = model.loss_and_head_grads(raws, yb)
+            raw, (cache, mask) = model.forward_raw(xb, train=True, rng=rng)
+            nll, dout = model.loss_and_head_grads(raw, yb)
             if not np.all(np.isfinite(nll)):
                 bad = int(idx[int(np.argmax(~np.isfinite(nll)))])
                 raise TrainingDiverged(
                     epoch, batch_no, bad,
                     f"non-finite loss at epoch {epoch}, batch {batch_no}, "
                     f"sample {bad}")
-            scale = 1.0 / len(idx)
-            for name in model.HEAD_NAMES:
-                cache, mask = caches[name]
-                dout = head_grads[name] * scale
-                grads = model.heads[name].backward(xb, cache, dout, mask)
-                if not all(np.all(np.isfinite(g)) for g in grads.values()):
-                    bad = int(idx[0])
-                    raise TrainingDiverged(
-                        epoch, batch_no, bad,
-                        f"non-finite gradient in head '{name}' at epoch "
-                        f"{epoch}, batch {batch_no}")
-                model.heads[name].adam_step(
-                    grads, config.learning_rate, config.beta1, config.beta2)
+            dout *= 1.0 / len(idx)
+            block = model.block
+            block.backward(xb, cache, dout, mask)
+            if not np.isfinite(block.grad).all():
+                bad = int(idx[_blamed_column(dout)])
+                heads = [name for name, ok in zip(model.HEAD_NAMES,
+                                                  block.finite_heads())
+                         if not ok]
+                raise TrainingDiverged(
+                    epoch, batch_no, bad,
+                    f"non-finite gradient in heads {heads} at epoch "
+                    f"{epoch}, batch {batch_no}, sample {bad}")
+            block.adam_step(config.learning_rate, config.beta1, config.beta2)
             total += float(np.sum(nll))
         result.epoch_nll.append(total / n)
     return result
@@ -316,34 +337,40 @@ def ensemble_prognostic_arrays(ensemble: Ensemble, x):
     return mix_mean, v_p_mix, v_st_mix, np.stack(alphas).mean(axis=0)
 
 
-def _head_state(head: MlpHead):
-    return {name: np.asarray(value).tolist()
-            for name, value in head.params().items()}
-
-
-def _load_head(state, in_dim, hidden):
-    head = MlpHead(in_dim, hidden, np.random.default_rng(0))
-    for name, init in head.params().items():
-        value = np.asarray(state[name], dtype=float).reshape(np.shape(init))
-        setattr(head, name, value if value.ndim else float(value))
-    return head
-
-
 def _net_state(net):
     kind = "gcp" if isinstance(net, GcpNetwork) else "gaussian"
+    params = net.block.params()
     return {
         "kind": kind, "in_dim": net.in_dim, "hidden": net.hidden,
         "dropout": net.dropout,
-        "heads": {name: _head_state(net.heads[name]) for name in net.HEAD_NAMES},
+        "heads": {name: {key: value[k].tolist()
+                         for key, value in params.items()}
+                  for k, name in enumerate(net.HEAD_NAMES)},
     }
 
 
 def _net_from_state(state):
+    """Rebuild one network, checking every head tensor's shape against
+    (in_dim, hidden) and every value for finiteness."""
     cls = GcpNetwork if state["kind"] == "gcp" else GaussianNet
     net = cls(state["in_dim"], hidden=state["hidden"], dropout=state["dropout"],
               rng=np.random.default_rng(0))
-    for name in net.HEAD_NAMES:
-        net.heads[name] = _load_head(state["heads"][name], net.in_dim, net.hidden)
+    for k, name in enumerate(net.HEAD_NAMES):
+        head = state["heads"].get(name)
+        if not isinstance(head, dict):
+            raise ValueError(f"checkpoint head {name!r} is missing")
+        for key, target in net.block.params().items():
+            where = f"checkpoint head {name!r} tensor {key!r}"
+            try:
+                value = np.asarray(head[key], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{where} is missing or not numeric")
+            if value.shape != target.shape[1:]:
+                raise ValueError(f"{where} has shape {value.shape}, expected "
+                                 f"{target.shape[1:]}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{where} holds a non-finite value")
+            target[k] = value
     return net
 
 

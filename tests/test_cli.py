@@ -166,6 +166,20 @@ class TestTrain:
         assert "config" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_hidden_below_one_is_usage_error(self, tmp_path, capsys, how):
+        argv = ["train", "synthetic", "--epochs", "2", "--n", "40",
+                "--out", str(tmp_path / "o")]
+        if how == "flag":
+            argv += ["--hidden", "0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"hidden": 0}))
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert "hidden" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_divergent_training_exits_numeric(self, tmp_path):
         # a step this size overflows the heads, so the next loss is non-finite
         with np.errstate(over="ignore", invalid="ignore"):
@@ -253,6 +267,14 @@ class TestDynamics:
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert float(rows[0][3]) == 2.0
 
+    @pytest.mark.parametrize("t_end", ["-5", "0", "nan"])
+    def test_simulate_rejects_nonpositive_horizon(self, tmp_path, capsys,
+                                                   t_end):
+        assert cli.main(["dynamics", "simulate", "--epsilon", "0.05",
+                         "--t-end", t_end, "--out", str(tmp_path)]) == 2
+        assert "--t-end" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_simulate_rejects_bad_state(self, tmp_path):
         assert cli.main(["dynamics", "simulate", "--epsilon", "0.1",
                          "--state", "0,-1,2,1", "--t-end", "5",
@@ -284,6 +306,15 @@ class TestBench:
                                 "--out", str(tmp_path / "par")]) == 0
         assert ((tmp_path / "serial" / "bench.csv").read_bytes()
                 == (tmp_path / "par" / "bench.csv").read_bytes())
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "bench"
+        assert cli.main(["bench", "synthetic", "--epochs", "2", "--n", "40",
+                         "--fractions", "0", "--repeats", "1",
+                         "--jobs", jobs, "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_clean_fraction_rmse_parity(self, tmp_path):
         out = tmp_path / "bench"

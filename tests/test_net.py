@@ -1,6 +1,7 @@
 """Tests for the four-head network, its baseline, the seeded training loop,
 and checkpoint serialization."""
 
+import json
 import math
 import os
 
@@ -43,65 +44,121 @@ class TestSoftplus:
 class TestMlpHead:
     def test_initialization_layout(self):
         rng = np.random.default_rng(0)
-        head = nn.MlpHead(3, 50, rng)
+        head = nn.MlpHead(4, 3, 50, rng)
         lim = math.sqrt(6.0 / 3)
-        assert head.w1.shape == (3, 50)
+        assert head.w1.shape == (4, 3, 50)
+        assert head.b1.shape == head.w2.shape == (4, 50)
+        assert head.b2.shape == (4,)
         assert np.all(np.abs(head.w1) <= lim)
         assert np.all(head.b1 == 0.0)
         assert np.all(np.abs(head.w2) <= 0.01)
-        assert head.b2 == 0.0
+        assert np.all(head.b2 == 0.0)
+        for value in head.params().values():
+            assert np.shares_memory(value, head.flat)
+
+    def test_initial_draws_follow_head_order(self):
+        # w1 then w2 for each head in turn, as one head per object drew them
+        head = nn.MlpHead(3, 2, 5, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        lim = math.sqrt(6.0 / 2)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                head.w1[k], rng.uniform(-lim, lim, size=(2, 5)))
+            np.testing.assert_array_equal(
+                head.w2[k], rng.uniform(-0.01, 0.01, size=5))
+
+    def test_rejects_empty_layers(self):
+        with pytest.raises(ValueError):
+            nn.MlpHead(4, 2, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            nn.MlpHead(4, 0, 5, np.random.default_rng(0))
+
+    def test_block_matches_per_head_loop(self):
+        # the per-head arithmetic the block replaced is the reference, and
+        # the block must reproduce it bitwise
+        rng = np.random.default_rng(4)
+        head = nn.MlpHead(3, 4, 6, rng)
+        x = rng.normal(size=(9, 4))
+        mask = (rng.random((3, 9, 6)) < 0.7) / 0.7
+        dout = rng.normal(size=(3, 9))
+        ref = {name: value.copy() for name, value in head.params().items()}
+        out, cache = head.forward(x, mask)
+        head.backward(x, cache, dout, mask)
+        head.adam_step(lr=1e-2)
+        for k in range(3):
+            w1, b1, w2, b2 = (ref[name][k] for name in nn.PARAM_NAMES)
+            pre = x @ w1 + b1
+            h = np.maximum(pre, 0.0) * mask[k]
+            np.testing.assert_array_equal(out[k], h @ w2 + b2)
+            dpre = np.outer(dout[k], w2) * mask[k] * (pre > 0.0)
+            grads = {"w1": x.T @ dpre, "b1": dpre.sum(axis=0),
+                     "w2": h.T @ dout[k], "b2": np.sum(dout[k])}
+            for name, g in grads.items():
+                np.testing.assert_array_equal(head.grads[name][k], g)
+                m = 0.9 * 0.0 + (1.0 - 0.9) * g
+                v = 0.999 * 0.0 + (1.0 - 0.999) * (g * g)
+                mhat = m / (1.0 - 0.9**1)
+                vhat = v / (1.0 - 0.999**1)
+                np.testing.assert_array_equal(
+                    head.params()[name][k],
+                    ref[name][k] - 1e-2 * mhat / (np.sqrt(vhat) + 1e-8))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        head = nn.MlpHead(2, 7, rng)
+        head = nn.MlpHead(3, 2, 7, rng)
         x = rng.normal(size=(5, 2))
-        dout = rng.normal(size=5)
+        dout = rng.normal(size=(3, 5))
         out, cache = head.forward(x)
-        grads = head.backward(x, cache, dout)
+        assert out.shape == (3, 5)
+        head.backward(x, cache, dout)
+        grads = {k: v.copy() for k, v in head.grads.items()}
         h = 1e-6
+
+        def objective():
+            return float(np.sum(head.forward(x)[0] * dout))
+
         for name in ("w1", "b1", "w2"):
-            value = getattr(head, name)
-            flat = value.ravel()
+            flat = getattr(head, name).ravel()
             idx = rng.choice(flat.size, size=min(10, flat.size), replace=False)
             for k in idx:
                 orig = flat[k]
                 flat[k] = orig + h
-                up = float(head.forward(x)[0] @ dout)
+                up = objective()
                 flat[k] = orig - h
-                dn = float(head.forward(x)[0] @ dout)
+                dn = objective()
                 flat[k] = orig
                 np.testing.assert_allclose(grads[name].ravel()[k],
                                            (up - dn) / (2.0 * h),
                                            rtol=1e-4, atol=1e-7)
-        head.b2 += h
-        up = float(head.forward(x)[0] @ dout)
-        head.b2 -= 2 * h
-        dn = float(head.forward(x)[0] @ dout)
-        head.b2 += h
-        np.testing.assert_allclose(grads["b2"], (up - dn) / (2.0 * h),
-                                   rtol=1e-6)
+        for k in range(3):
+            head.b2[k] += h
+            up = objective()
+            head.b2[k] -= 2 * h
+            dn = objective()
+            head.b2[k] += h
+            np.testing.assert_allclose(grads["b2"][k], (up - dn) / (2.0 * h),
+                                       rtol=1e-6)
 
     def test_first_adam_step_is_signed_learning_rate(self):
         # with bias correction the first update is lr * g/(|g| + eps)
         rng = np.random.default_rng(2)
-        head = nn.MlpHead(2, 4, rng)
+        head = nn.MlpHead(2, 2, 4, rng)
+        before = head.flat.copy()
         w2_before = head.w2.copy()
-        grads = {"w1": np.zeros((2, 4)), "b1": np.zeros(4),
-                 "w2": np.full(4, 0.25), "b2": 0.0}
-        head.adam_step(grads, lr=1e-3)
+        head.grads["w2"][:] = 0.25
+        head.adam_step(lr=1e-3)
         np.testing.assert_allclose(w2_before - head.w2,
                                    1e-3 * 0.25 / (0.25 + 1e-8), rtol=1e-12)
+        moved = head.flat != before
+        np.testing.assert_array_equal(moved, head.grad != 0.0)
 
     def test_zero_gradient_leaves_params_unchanged(self):
         rng = np.random.default_rng(3)
-        head = nn.MlpHead(2, 4, rng)
-        before = {k: np.copy(v) for k, v in head.params().items()}
-        zeros = {"w1": np.zeros((2, 4)), "b1": np.zeros(4),
-                 "w2": np.zeros(4), "b2": 0.0}
+        head = nn.MlpHead(2, 2, 4, rng)
+        before = head.flat.copy()
         for _ in range(3):
-            head.adam_step(zeros, lr=0.1)
-        for k, v in head.params().items():
-            np.testing.assert_array_equal(v, before[k])
+            head.adam_step(lr=0.1)
+        np.testing.assert_array_equal(head.flat, before)
 
 
 class TestGcpNetwork:
@@ -118,8 +175,8 @@ class TestGcpNetwork:
         x = np.array([[0.2], [-0.4]])
         a, _ = netw.forward_raw(x, train=False)
         b, _ = netw.forward_raw(x, train=True)
-        for name in netw.HEAD_NAMES:
-            np.testing.assert_array_equal(a[name], b[name])
+        assert a.shape == (len(netw.HEAD_NAMES), 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_train_mode_with_dropout_requires_rng(self):
         netw = nn.GcpNetwork(1, hidden=10, dropout=0.3,
@@ -137,26 +194,26 @@ class TestGcpNetwork:
         drop_rng = np.random.default_rng(4)
         for i in range(draws.size):
             raws, _ = netw.forward_raw(x, train=True, rng=drop_rng)
-            draws[i] = raws["m"][0]
+            draws[i] = raws[0, 0]
         se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - clean["m"][0]) < 3.0 * se + 1e-12
+        assert abs(draws.mean() - clean[0, 0]) < 3.0 * se + 1e-12
 
     def test_head_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         netw = nn.GcpNetwork(2, hidden=6, rng=rng)
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=4)
-        raws, caches = netw.forward_raw(x)
+        raws, _ = netw.forward_raw(x)
         nll, head_grads = netw.loss_and_head_grads(raws, y)
         h = 1e-5
-        for name in netw.HEAD_NAMES:
+        for k in range(len(netw.HEAD_NAMES)):
             for i in range(4):
-                bumped = {k: v.copy() for k, v in raws.items()}
-                bumped[name][i] += h
+                bumped = raws.copy()
+                bumped[k, i] += h
                 up = netw.loss_and_head_grads(bumped, y)[0][i]
-                bumped[name][i] -= 2 * h
+                bumped[k, i] -= 2 * h
                 dn = netw.loss_and_head_grads(bumped, y)[0][i]
-                np.testing.assert_allclose(head_grads[name][i],
+                np.testing.assert_allclose(head_grads[k, i],
                                            (up - dn) / (2.0 * h),
                                            rtol=1e-4, atol=1e-7)
 
@@ -171,14 +228,13 @@ class TestGcpNetwork:
             raws, _ = netw.forward_raw(x)
             return float(np.mean(netw.loss_and_head_grads(raws, y)[0]))
 
-        raws, caches = netw.forward_raw(x)
+        raws, (cache, mask) = netw.forward_raw(x)
         _, head_grads = netw.loss_and_head_grads(raws, y)
+        netw.block.backward(x, cache, head_grads / 6.0, mask)
+        grads = netw.block.grads["w1"].copy()
         checked = 0
-        for name in netw.HEAD_NAMES:
-            cache, mask = caches[name]
-            grads = netw.heads[name].backward(x, cache,
-                                              head_grads[name] / 6.0, mask)
-            w1 = netw.heads[name].w1
+        for head in range(len(netw.HEAD_NAMES)):
+            w1 = netw.block.w1[head]
             for k in rng.choice(w1.size, size=6, replace=False):
                 orig = w1.ravel()[k]
                 h = 1e-6 * max(1.0, abs(orig))
@@ -187,7 +243,7 @@ class TestGcpNetwork:
                 w1.ravel()[k] = orig - h
                 dn = batch_nll()
                 w1.ravel()[k] = orig
-                np.testing.assert_allclose(grads["w1"].ravel()[k],
+                np.testing.assert_allclose(grads[head].ravel()[k],
                                            (up - dn) / (2.0 * h),
                                            rtol=2e-4, atol=1e-7)
                 checked += 1
@@ -201,7 +257,7 @@ class TestGaussianNet:
         y = np.array([0.7])
         raws, _ = netw.forward_raw(x)
         nll, _ = netw.loss_and_head_grads(raws, y)
-        mean, logvar = raws["mean"][0], raws["logvar"][0]
+        mean, logvar = raws[0, 0], raws[1, 0]
         ref = 0.5 * (math.log(2.0 * math.pi) + logvar
                      + (y[0] - mean) ** 2 * math.exp(-logvar))
         np.testing.assert_allclose(nll[0], ref, rtol=1e-12)
@@ -214,14 +270,14 @@ class TestGaussianNet:
         raws, _ = netw.forward_raw(x)
         _, grads = netw.loss_and_head_grads(raws, y)
         h = 1e-6
-        for name in netw.HEAD_NAMES:
+        for k in range(len(netw.HEAD_NAMES)):
             for i in range(5):
-                bumped = {k: v.copy() for k, v in raws.items()}
-                bumped[name][i] += h
+                bumped = raws.copy()
+                bumped[k, i] += h
                 up = netw.loss_and_head_grads(bumped, y)[0][i]
-                bumped[name][i] -= 2 * h
+                bumped[k, i] -= 2 * h
                 dn = netw.loss_and_head_grads(bumped, y)[0][i]
-                np.testing.assert_allclose(grads[name][i], (up - dn) / (2 * h),
+                np.testing.assert_allclose(grads[k, i], (up - dn) / (2 * h),
                                            rtol=1e-5, atol=1e-9)
 
 
@@ -235,10 +291,7 @@ class TestTraining:
                                  rng=np.random.Generator(np.random.PCG64(42)))
             nn.train(netw, x, y, cfg)
             nets.append(netw)
-        for name in nets[0].HEAD_NAMES:
-            for key, val in nets[0].heads[name].params().items():
-                np.testing.assert_array_equal(
-                    val, nets[1].heads[name].params()[key])
+        np.testing.assert_array_equal(nets[0].block.flat, nets[1].block.flat)
 
     def test_loss_decreases_on_learnable_data(self):
         x, y = tiny_dataset()
@@ -263,6 +316,47 @@ class TestTraining:
         assert info.value.batch >= 0
         assert info.value.sample_index in (0, 1)
 
+    def test_nonfinite_gradient_blames_its_sample(self, monkeypatch):
+        # the NLL stays finite; one sample's gradient column turns NaN
+        x, y = tiny_dataset(12)
+        netw = nn.GcpNetwork(1, hidden=4, rng=np.random.default_rng(0))
+        clean = netw.loss_and_head_grads
+        poisoned = []
+
+        def poison(raw, yb):
+            nll, dout = clean(raw, yb)
+            dout[2, -1] = math.nan
+            poisoned.append(yb[-1])
+            return nll, dout
+
+        monkeypatch.setattr(netw, "loss_and_head_grads", poison)
+        with pytest.raises(nn.TrainingDiverged, match="alpha") as info:
+            nn.train(netw, x, y, nn.TrainConfig(epochs=1, batch_size=6))
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+        assert y[info.value.sample_index] == poisoned[0]
+
+    def test_overflowed_gradient_blames_largest_sample(self, monkeypatch):
+        # every gradient entry is finite, but large activations overflow
+        # the w2 gradient of head m
+        x, y = tiny_dataset(12)
+        netw = nn.GcpNetwork(1, hidden=4, rng=np.random.default_rng(0))
+        netw.block.b1[0] = 1e4
+        clean = netw.loss_and_head_grads
+        largest = []
+
+        def inflate(raw, yb):
+            nll, dout = clean(raw, yb)
+            dout[0, 0] = 1e300
+            dout[0, 3] = 1e307
+            largest.append(yb[3])
+            return nll, dout
+
+        monkeypatch.setattr(netw, "loss_and_head_grads", inflate)
+        with pytest.raises(nn.TrainingDiverged, match="'m'") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            nn.train(netw, x, y, nn.TrainConfig(epochs=1, batch_size=6))
+        assert y[info.value.sample_index] == largest[0]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             nn.TrainConfig(epochs=0)
@@ -284,7 +378,7 @@ class TestEnsemble:
         ens, traces = nn.train_ensemble(1, x, y, cfg, n_members=3, hidden=6)
         assert all(isinstance(m, nn.GcpNetwork) for m in ens.members)
         assert len(traces) == 3
-        w = [m.heads["m"].w1 for m in ens.members]
+        w = [m.block.w1[0] for m in ens.members]
         assert not np.array_equal(w[0], w[1])
         assert not np.array_equal(w[1], w[2])
 
@@ -323,10 +417,7 @@ class TestCheckpoint:
         assert extra["note"] == "roundtrip"
         assert isinstance(loaded, nn.GcpNetwork)
         assert loaded.dropout == netw.dropout
-        for name in netw.HEAD_NAMES:
-            for key, val in netw.heads[name].params().items():
-                np.testing.assert_array_equal(
-                    val, loaded.heads[name].params()[key])
+        np.testing.assert_array_equal(loaded.block.flat, netw.block.flat)
 
     def test_ensemble_roundtrip(self, tmp_path):
         x, y = tiny_dataset(30)
@@ -341,6 +432,30 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             nn.ensemble_prognostic_arrays(ens, xq)[0],
             nn.ensemble_prognostic_arrays(loaded, xq)[0])
+
+    @staticmethod
+    def corrupted(tmp_path, edit):
+        netw = nn.GcpNetwork(2, hidden=3, rng=np.random.default_rng(0))
+        path = os.path.join(tmp_path, "net.json")
+        nn.save_checkpoint(path, netw)
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+        edit(state["heads"]["nu"])
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        return path
+
+    def test_truncated_tensor_rejected(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda head: head["w1"].pop())
+        with pytest.raises(ValueError, match="head 'nu' tensor 'w1'"):
+            nn.load_checkpoint(path)
+
+    def test_nonfinite_entry_rejected(self, tmp_path):
+        def poison(head):
+            head["b1"][1] = math.nan
+        path = self.corrupted(tmp_path, poison)
+        with pytest.raises(ValueError, match="head 'nu' tensor 'b1'"):
+            nn.load_checkpoint(path)
 
     def test_predictions_survive_roundtrip_exactly(self, tmp_path):
         netw = nn.GcpNetwork(2, hidden=7, rng=np.random.Generator(np.random.PCG64(4)))
