@@ -122,6 +122,10 @@ def _parse_range(text, name):
 
 
 def _contamination_spec(args, epsilon):
+    # every dynamics command builds its mixture here first; uniform
+    # outliers get half the nodes, so fewer than 2 leaves them none
+    if args.nodes is not None and args.nodes < 2:
+        raise UsageError(f"--nodes must be at least 2, got {args.nodes}")
     if args.uniform_outliers is not None:
         lo, hi = _parse_floats(args.uniform_outliers, "--uniform-outliers", 2)
         outlier = ("uniform", lo, hi)
@@ -374,12 +378,18 @@ def cmd_dynamics_equilibrium(args):
     guess = None
     if args.guess is not None:
         guess = tuple(_parse_floats(args.guess, "--guess", 3))
+        m, alpha, sigma = guess
+        if not (math.isfinite(m) and 0.0 < alpha < math.inf
+                and 0.0 < sigma < math.inf):
+            raise UsageError(f"--guess needs a finite m and positive, finite "
+                             f"alpha and sigma, got {args.guess!r}")
     eq = dyn.equilibrium(spec, guess=guess, nodes=args.nodes)
     payload = {"m": float(eq.m), "alpha": float(eq.alpha),
                "sigma": float(eq.sigma),
                "residuals": [float(r) for r in eq.residuals],
                "converged": bool(eq.converged), "nodes": int(eq.nodes),
-               "iterations": int(eq.iterations)}
+               "iterations": int(eq.iterations),
+               "step_bound": float(eq.step_bound)}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = _ensure_out(args)
@@ -413,9 +423,9 @@ def cmd_dynamics_sweep(args):
                       if mean_scale != 0.0 else math.nan)
         rows.append((eps, eq.m, eq.alpha, eq.sigma, ind.c_go, ind.d_go,
                      eq.max_residual, eps * eq.alpha / alpha_limit,
-                     mean_ratio))
+                     mean_ratio, eq.step_bound))
     header = ("epsilon", "m_eq", "alpha_eq", "sigma_eq", "c_go", "d_go",
-              "residual", "eps_alpha_ratio", "mean_ratio")
+              "residual", "eps_alpha_ratio", "mean_ratio", "step_bound")
     out = _ensure_out(args)
     _write_csv(out / "sweep.csv", header, rows)
     _manifest(out, "dynamics sweep",

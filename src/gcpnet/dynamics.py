@@ -2,9 +2,11 @@
 
 The network-free limit of the belief updates is a four-variable ODE driven
 by three population integrals.  This module evaluates those integrals by
-quadrature, integrates the flow, solves for equilibria by damped Newton,
-and runs the two inverse-problem verifications (first-order variance
-correction, super-polynomial mean closeness).
+quadrature, integrates the flow, solves for equilibria by damped Newton
+with the analytic Jacobian (started from the small-contamination
+asymptotics and certified at doubled quadrature order), and runs the two
+inverse-problem verifications (first-order variance correction,
+super-polynomial mean closeness).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import zeta
 
 from .special import (
     NumericError,
@@ -25,7 +27,6 @@ from .special import (
 from .gcp import correction_constants
 
 DYNAMICS_NODES_DEFAULT = 512
-UNIFORM_NODES = 256
 
 ALPHA_CAP = 1e4
 SOLVE_TOL = 1e-11
@@ -130,12 +131,16 @@ def mixture_mean_variance(spec: ContaminationSpec):
     return mean, second - mean * mean
 
 
-def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes):
-    """One mixture component's contribution to (F, G, H).
+def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
+                   jacobian=False):
+    """One mixture component's contribution to (F, G, H), and with
+    `jacobian` its part of their derivatives in (m, ln alpha, ln sigma).
 
-    The mean integrand is evaluated pairwise over the symmetric nodes so
-    that the near-cancellation at a symmetric mixture is exact instead of
-    catastrophic.
+    Gaussian components use the n-node Hermite rule, uniform ones the
+    n/2-node Legendre rule, so doubling n refines both.  The mean integrand
+    is evaluated pairwise over the symmetric Hermite nodes so that the
+    near-cancellation at a symmetric mixture is exact instead of
+    catastrophic.  Returns ((f, g, h), jac) with jac None unless asked for.
     """
     two_sigma = 2.0 * sigma
     if kind == "gaussian":
@@ -143,47 +148,75 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes):
         offsets = math.sqrt(b) * rule.nodes
         c = a - m
         z = c + offsets
-        zsq = z * z
-        den = two_sigma + zsq
-        g_val = float(rule.weights @ np.log1p(zsq / two_sigma))
-        h_val = float(rule.weights @ ((alpha * zsq - sigma) / den))
+        density = 1.0
+    else:
+        rule = legendre_rule(n_nodes // 2, a, b)
+        z = rule.nodes - m
+        density = 1.0 / (b - a)
+    zsq = z * z
+    den = two_sigma + zsq
+    if kind == "gaussian":
         pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
         pair_den = (two_sigma + (c + offsets) ** 2) * (two_sigma + (c - offsets) ** 2)
         f_val = 0.5 * float(rule.weights @ (pair_num / pair_den))
     else:
-        lo, hi = a, b
-        rule = legendre_rule(UNIFORM_NODES, lo, hi)
-        density = 1.0 / (hi - lo)
-        z = rule.nodes - m
-        zsq = z * z
-        den = two_sigma + zsq
-        f_val = float(rule.weights @ (z / den)) * density
-        g_val = float(rule.weights @ np.log1p(zsq / two_sigma)) * density
-        h_val = float(rule.weights @ ((alpha * zsq - sigma) / den)) * density
-    return weight * f_val, weight * g_val, weight * h_val
+        f_val = float(rule.weights @ (z / den))
+    g_val = float(rule.weights @ np.log1p(zsq / two_sigma))
+    h_val = float(rule.weights @ ((alpha * zsq - sigma) / den))
+    vals = (weight * (f_val * density), weight * (g_val * density),
+            weight * (h_val * density))
+    if not jacobian:
+        return vals, None
+    # with den = 2 sigma + z^2 and dz/dm = -1, every entry is one of these
+    # five expectations; d/d ln alpha of G is the digamma gap's, added in fgh
+    inv = 1.0 / den
+    z_inv = z * inv
+    zsq_inv = zsq * inv
+    z_den = rule.weights @ z_inv
+    zsq_den = rule.weights @ zsq_inv
+    z_den2 = rule.weights @ (z_inv * inv)
+    zsq_den2 = rule.weights @ (zsq_inv * inv)
+    f_m = rule.weights @ ((zsq - two_sigma) * inv * inv)
+    shape = 2.0 * alpha + 1.0
+    jac = np.array([
+        [f_m, 0.0, -two_sigma * z_den2],
+        [-2.0 * z_den, 0.0, -zsq_den],
+        [-two_sigma * shape * z_den2, alpha * zsq_den, -sigma * shape * zsq_den2],
+    ])
+    return vals, weight * (jac * density)
 
 
-def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None):
+def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     """Population integrals driving the flow.
 
     F is the mean pull, H the precision imbalance, and G the evidence
     imbalance including the digamma gap, so an equilibrium is exactly
-    F = G = H = 0.
+    F = G = H = 0.  With `jacobian` the result is ((f, g, h), J), J the
+    3x3 derivative in (m, ln alpha, ln sigma) from the same nodes.
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
     f = g = h = 0.0
+    jac = np.zeros((3, 3)) if jacobian else None
     for weight, kind, a, b in spec.components():
-        df, dg, dh = _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes)
+        (df, dg, dh), djac = _component_fgh(m, alpha, sigma, weight, kind,
+                                            a, b, n_nodes, jacobian)
         f += df
         g += dg
         h += dh
+        if jacobian:
+            jac += djac
     g += delta_psi(alpha)
-    if not (math.isfinite(f) and math.isfinite(g) and math.isfinite(h)):
+    finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
+    if jacobian:
+        # the Hurwitz zeta(2, x) is the trigamma function psi'(x)
+        jac[1, 1] = alpha * float(zeta(2, alpha) - zeta(2, alpha + 0.5))
+        finite = finite and bool(np.isfinite(jac).all())
+    if not finite:
         raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "
                            f"sigma={sigma}")
-    return f, g, h
+    return ((f, g, h), jac) if jacobian else (f, g, h)
 
 
 @dataclass(frozen=True)
@@ -340,7 +373,12 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Certified zero of (F, G, H); residuals are from the doubled rule."""
+    """Certified zero of (F, G, H); residuals are from the doubled rule.
+
+    `step_bound` is max |J^-1 r| there, in (m, ln alpha, ln sigma): an
+    a-posteriori estimate of how far the root may sit from the true zero,
+    absolute in m and relative in alpha and sigma.
+    """
 
     m: float
     alpha: float
@@ -349,182 +387,99 @@ class Equilibrium:
     converged: bool
     nodes: int
     iterations: int
+    step_bound: float
 
     @property
     def max_residual(self):
         return max(self.residuals)
 
 
-def _newton_fgh(spec, x0, nodes, max_iter=80, tol=SOLVE_TOL):
-    """Damped Newton for (F,G,H)=0 over (m, ln alpha, ln sigma)."""
+def _admissible(x):
+    """The box in (m, ln alpha, ln sigma) where roots are sought; beyond it
+    the residuals fade along the escape channel toward infinity."""
+    m, la, ls = x
+    return abs(la) <= math.log(ALPHA_CAP) and abs(ls) <= 60.0 and abs(m) <= 1e6
 
-    def residual(x):
-        m, la, ls = x
-        if abs(la) > math.log(ALPHA_CAP) or abs(ls) > 60.0 or abs(m) > 1e6:
+
+def _newton_fgh(spec, x0, nodes, max_iter=80, tol=SOLVE_TOL):
+    """Damped Newton for (F,G,H)=0 over (m, ln alpha, ln sigma) with the
+    analytic Jacobian.
+
+    A damped step is accepted when either the natural level falls,
+    |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
+    test, which follows the curved (alpha, sigma) valley where the plain
+    residual norm is dominated by H), or the residual norm falls.
+    """
+
+    def evaluate(x):
+        if not _admissible(x):
             return None
-        return np.array(fgh(m, math.exp(la), math.exp(ls), spec, nodes=nodes))
+        values, jac = fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
+                          nodes=nodes, jacobian=True)
+        return np.array(values), jac
 
     x = np.array([x0[0], math.log(x0[1]), math.log(x0[2])])
-    r = residual(x)
-    if r is None:
+    current = evaluate(x)
+    if current is None:
         raise NonConvergenceError("initial guess outside the admissible region")
+    r, jac = current
     for it in range(1, max_iter + 1):
-        norm = float(np.max(np.abs(r)))
-        if norm < tol:
-            return x, it
-        jac = np.empty((3, 3))
-        ok = True
-        for j in range(3):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            rp, rm = residual(xp), residual(xm)
-            if rp is None or rm is None:
-                ok = False
-                break
-            jac[:, j] = (rp - rm) / (2.0 * h)
-        if not ok:
-            raise NonConvergenceError(f"iterate escaped at iteration {it}: {x}")
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian at {x}") from exc
+        norm = float(np.max(np.abs(r)))
+        if norm < tol:
+            # a small residual locates the root only to |step| along the
+            # ill-conditioned (alpha, sigma) valley; the last full step
+            # costs no evaluation and squares that error
+            return x + step, it
+        step_norm = float(np.linalg.norm(step))
+        rnorm2 = float(np.linalg.norm(r))
         # trust caps keep iterates out of the flat residual valley that
         # runs toward alpha = infinity
-        cap = min(1.0, 0.7 / (abs(step[1]) + 1e-300),
+        lam = min(1.0, 0.7 / (abs(step[1]) + 1e-300),
                   0.7 / (abs(step[2]) + 1e-300),
                   0.5 * (1.0 + abs(x[0])) / (abs(step[0]) + 1e-300))
-        step = step * cap
-        rnorm2 = float(np.linalg.norm(r))
-        lam, accepted = 1.0, False
         for _ in range(30):
             trial = x + lam * step
-            rt = residual(trial)
-            if rt is not None and np.all(np.isfinite(rt)) \
-                    and float(np.linalg.norm(rt)) < rnorm2:
-                x, r = trial, rt
-                accepted = True
-                break
+            current = evaluate(trial)
+            if current is not None:
+                rt, jt = current
+                natural = float(np.linalg.norm(np.linalg.solve(jac, rt)))
+                if (natural < (1.0 - 0.25 * lam) * step_norm
+                        or float(np.linalg.norm(rt)) < rnorm2):
+                    x, r, jac = trial, rt, jt
+                    break
             lam *= 0.5
-        if not accepted:
+        else:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it}, residual {norm:.3e}")
     raise NonConvergenceError(f"no convergence after {max_iter} iterations, "
                               f"residual {float(np.max(np.abs(r))):.3e}")
 
 
-def _sigma_root(spec: ContaminationSpec, m, alpha, sigma0, nodes):
-    """Root of the precision-shape balance in sigma at fixed (m, alpha).
-
-    The balance integrand has derivative -(1+2*alpha)*E[z^2/(2s+z^2)^2] < 0,
-    so the root is unique and safely bracketed in log space."""
-
-    def hfun(ls):
-        return fgh(m, alpha, math.exp(ls), spec, nodes=nodes)[2]
-
-    lo = hi = math.log(sigma0)
-    flo = fhi = hfun(lo)
-    for _ in range(90):
-        if flo > 0.0 and fhi < 0.0:
-            break
-        if flo <= 0.0:
-            lo -= 0.7
-            flo = hfun(lo)
-        if fhi >= 0.0:
-            hi += 0.7
-            fhi = hfun(hi)
-        if lo < -60.0 or hi > 60.0:
-            raise NonConvergenceError("sigma balance could not be bracketed")
-    else:
-        raise NonConvergenceError("sigma balance could not be bracketed")
-    if flo == 0.0:
-        return math.exp(lo)
-    if fhi == 0.0:
-        return math.exp(hi)
-    return math.exp(brentq(hfun, lo, hi, xtol=1e-14, rtol=8.9e-16))
-
-
-def _profile_mean_sigma(spec: ContaminationSpec, alpha, m0, sigma0, nodes,
-                        tol=1e-12):
-    """Solve the mean and sigma equations jointly at fixed alpha by
-    alternating the two guarded one-dimensional solves.  The cross coupling
-    is weak, so the sweep contracts in a few passes."""
-    m, sigma = m0, sigma0
-    for _ in range(40):
-        m = solve_mean_root(spec, alpha, sigma, start=m, nodes=nodes)
-        sigma = _sigma_root(spec, m, alpha, sigma, nodes)
-        f, g, h = fgh(m, alpha, sigma, spec, nodes=nodes)
-        if abs(f) < tol and abs(h) < tol:
-            return m, sigma, g
-    raise NonConvergenceError("mean/sigma profile sweep did not contract")
-
-
-def _nested_equilibrium(spec: ContaminationSpec, guess, nodes):
-    """Fallback solve for stiff cases where the joint Newton creeps along
-    the nearly singular (alpha, sigma) valley.  The mean and sapp-shape
-    equations are eliminated by guarded one-dimensional solves, leaving a
-    scalar profile equation in alpha that Brent's method brackets."""
-    state = {"m": guess[0], "sigma": guess[2], "count": 0}
-
-    def gfun(la):
-        alpha = math.exp(la)
-        m, sigma, g = _profile_mean_sigma(spec, alpha, state["m"],
-                                          state["sigma"], nodes)
-        state["m"], state["sigma"] = m, sigma
-        state["count"] += 1
-        return g
-
-    lo = math.log(guess[1]) - 0.4
-    hi = math.log(guess[1]) + 0.4
-    flo, fhi = gfun(lo), gfun(hi)
-    for _ in range(60):
-        if flo == 0.0:
-            lo, hi = lo, lo
-            break
-        if fhi == 0.0:
-            lo, hi = hi, hi
-            break
-        if flo * fhi < 0.0:
-            break
-        if abs(flo) < abs(fhi):
-            new_lo = max(lo - 0.7, math.log(1e-2))
-            if new_lo == lo:
-                raise NonConvergenceError("alpha profile has no sign change")
-            lo = new_lo
-            flo = gfun(lo)
-        else:
-            new_hi = min(hi + 0.7, math.log(ALPHA_CAP))
-            if new_hi == hi:
-                raise NonConvergenceError("alpha profile has no sign change")
-            hi = new_hi
-            fhi = gfun(hi)
-    else:
-        raise NonConvergenceError("alpha profile could not be bracketed")
-    if lo == hi:
-        la = lo
-    else:
-        la = brentq(gfun, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    alpha = math.exp(la)
-    m, sigma, _ = _profile_mean_sigma(spec, alpha, state["m"],
-                                      state["sigma"], nodes)
-    return np.array([m, la, math.log(sigma)]), state["count"]
-
-
 def newton_equilibrium(spec: ContaminationSpec, guess, nodes=None,
                        cert_tol=CERT_TOL) -> Equilibrium:
     """Newton solve from an explicit (m, alpha, sigma) guess, then certify
-    the root by re-evaluating the integrals at twice the node count."""
+    the root by re-evaluating the integrals at twice the node count.
+
+    Only iterates inside the admissible box are ever accepted, so no point
+    out on the escape channel is certified; a failed solve raises
+    NonConvergenceError.  The certificate also bounds the root's location
+    by the size of the Newton step |J^-1 r| at the doubled rule.
+    """
     n_nodes = _dyn_nodes(nodes)
-    try:
-        x, iters = _newton_fgh(spec, guess, n_nodes)
-    except NonConvergenceError:
-        x, iters = _nested_equilibrium(spec, guess, n_nodes)
+    x, iters = _newton_fgh(spec, guess, n_nodes)
+    if not _admissible(x):
+        raise NonConvergenceError(f"root outside the admissible region: {x}")
     m, alpha, sigma = float(x[0]), math.exp(x[1]), math.exp(x[2])
-    res2 = np.abs(fgh(m, alpha, sigma, spec, nodes=2 * n_nodes))
-    converged = bool(np.max(res2) < cert_tol)
-    eq = Equilibrium(m=m, alpha=alpha, sigma=sigma,
-                     residuals=tuple(float(v) for v in res2),
-                     converged=converged, nodes=n_nodes, iterations=iters)
+    res2, jac2 = fgh(m, alpha, sigma, spec, nodes=2 * n_nodes, jacobian=True)
+    residuals = tuple(abs(v) for v in res2)
+    converged = max(residuals) < cert_tol
+    eq = Equilibrium(m=m, alpha=alpha, sigma=sigma, residuals=residuals,
+                     converged=converged, nodes=n_nodes, iterations=iters,
+                     step_bound=float(np.max(np.abs(np.linalg.solve(jac2, res2)))))
     if not converged:
         raise NonConvergenceError(
             f"root failed certification at doubled nodes: residuals {eq.residuals}")
@@ -565,20 +520,12 @@ def asymptotic_guess(spec: ContaminationSpec):
 
 
 def equilibrium(spec: ContaminationSpec, guess=None, nodes=None) -> Equilibrium:
-    """Certified equilibrium; warm-starts from a short flow integration
-    when no guess is supplied, falling back to the small-eps asymptotics
-    if Newton cannot polish the integrated state."""
+    """Certified equilibrium; Newton starts from the small-eps asymptotics
+    when no guess is supplied."""
     check_condition(spec)
     if guess is None:
-        traj = integrate(default_state(spec), spec, t_end=400.0, nodes=nodes,
-                         settle_tol=1e-6, max_steps=20000)
-        end = traj.end_state()
-        try:
-            return newton_equilibrium(spec, (end.m, end.alpha, end.sigma),
-                                      nodes=nodes)
-        except NonConvergenceError:
-            return newton_equilibrium(spec, asymptotic_guess(spec), nodes=nodes)
-    if isinstance(guess, DynState):
+        guess = asymptotic_guess(spec)
+    elif isinstance(guess, DynState):
         guess = (guess.m, guess.alpha, guess.sigma)
     return newton_equilibrium(spec, guess, nodes=nodes)
 
@@ -763,27 +710,14 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma, start=None,
     sub-femto roots meaningful when the mixture is nearly symmetric.
     """
     n_nodes = _dyn_nodes(nodes)
-    two_sigma = 2.0 * sigma
 
     def f_and_deriv(m):
-        f = 0.0
-        d = 0.0
+        f = d = 0.0
         for weight, kind, a, b in spec.components():
-            fv, _, _ = _component_fgh(m, alpha, sigma, weight, kind, a, b,
-                                      n_nodes)
+            (fv, _, _), jac = _component_fgh(m, alpha, sigma, weight, kind,
+                                             a, b, n_nodes, jacobian=True)
             f += fv
-            if kind == "gaussian":
-                rule = hermite_rule(n_nodes)
-                z = a - m + math.sqrt(b) * rule.nodes
-            else:
-                rule = legendre_rule(UNIFORM_NODES, a, b)
-                z = rule.nodes - m
-            zsq = z * z
-            dd = (zsq - two_sigma) / (two_sigma + zsq) ** 2
-            val = float(rule.weights @ dd)
-            if kind != "gaussian":
-                val /= (b - a)
-            d += weight * val
+            d += float(jac[0, 0])
         return f, d
 
     m = float(start) if start is not None else spec.m_g

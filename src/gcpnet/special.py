@@ -28,18 +28,35 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfcx, psi, roots_hermite, roots_legendre
+from scipy.special import erfcx, roots_hermite, roots_legendre
 
 
 class NumericError(RuntimeError):
     """A quadrature or solver produced a non-finite or uncertifiable result."""
 
 
+def _psi_tail(x: float) -> float:
+    """ln(x) - Psi(x) by its asymptotic series, exact to roundoff for x >= 20."""
+    inv2 = 1.0 / (x * x)
+    return 0.5 / x + inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (
+        1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
+
+
 def delta_psi(alpha: float) -> float:
-    """Psi(alpha) - Psi(alpha + 1/2); strictly negative, increasing to 0."""
+    """Psi(alpha) - Psi(alpha + 1/2); strictly negative, increasing to 0.
+
+    Subtracting two digammas loses about 1e-15 absolute, up to 4e-11 of
+    the gap itself at alpha = 1e4.  Instead the recurrence
+    Psi(x) = Psi(x + 1) - 1/x lifts x to 20, where the gap is a log1p plus
+    the difference of two asymptotic tails, with no cancellation.
+    """
     if not alpha > 0:
         raise ValueError(f"delta_psi requires alpha > 0, got {alpha!r}")
-    return float(psi(alpha) - psi(alpha + 0.5))
+    x, gap = float(alpha), 0.0
+    while x < 20.0:
+        gap -= 0.5 / (x * (x + 0.5))
+        x += 1.0
+    return gap - math.log1p(0.5 / x) - _psi_tail(x) + _psi_tail(x + 0.5)
 
 
 @dataclass(frozen=True)

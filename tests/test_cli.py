@@ -197,8 +197,38 @@ class TestDynamics:
         np.testing.assert_allclose(payload["alpha"], 1.5905134103872898,
                                    rtol=1e-6)
         assert payload["converged"] is True
+        assert 0.0 <= payload["step_bound"] < 1e-10
         saved = json.loads((tmp_path / "equilibrium.json").read_text())
         assert saved == payload
+
+    def test_guess_at_infinity_is_not_certified(self, capsys):
+        # residuals fade toward alpha = sigma = infinity; a start beyond the
+        # solver's box must fail instead of walking out along that channel
+        assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
+                         "--guess", "0,1e9,1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure" in captured.err
+
+    @pytest.mark.parametrize("guess", ["0,-1,1", "0,1,0", "0,nan,1",
+                                       "0,1,inf", "nan,1,1"])
+    def test_guess_outside_domain_is_usage_error(self, capsys, guess):
+        assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
+                         f"--guess={guess}"]) == 2
+        assert "--guess" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["equilibrium", "--epsilon", "0.04"],
+        ["sweep", "--eps", "0.04"],
+        ["field", "--epsilon", "0.04"],
+        ["simulate", "--epsilon", "0.04"],
+    ])
+    def test_nodes_below_two_is_usage_error(self, tmp_path, capsys, command):
+        argv = ["dynamics"] + command + ["--nodes", "1"]
+        if command[0] != "equilibrium":
+            argv += ["--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "--nodes" in capsys.readouterr().err
 
     def test_equilibrium_refuses_epsilon_zero(self, capsys):
         assert cli.main(["dynamics", "equilibrium", "--epsilon", "0"]) == 4
@@ -228,6 +258,8 @@ class TestDynamics:
         mean_ratio = [float(r[header.index("mean_ratio")]) for r in rows]
         assert all(0.0 < r < 1.0 for r in mean_ratio)
         assert all(a < b for a, b in zip(mean_ratio, mean_ratio[1:]))
+        assert header[-1] == "step_bound"
+        assert all(0.0 <= float(r[-1]) < 1e-9 for r in rows)
 
     def test_sweep_with_zero_epsilon_refused(self, tmp_path):
         assert cli.main(["dynamics", "sweep", "--eps", "0.04,0",

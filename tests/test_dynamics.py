@@ -4,6 +4,7 @@ certification, the two inverse-problem verifications, and the qualitative
 change of the flow at zero contamination."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ class TestIntegrals:
         np.testing.assert_allclose(f, 0.7 * clean[0] + f_u, atol=1e-9)
 
 
+class TestJacobian:
+    @pytest.mark.parametrize("outlier", [OUT5, ("uniform", -4.0, 16.0)])
+    def test_analytic_jacobian_matches_central_differences(self, outlier):
+        s = spec_at(0.07, outlier=outlier)
+        x = np.array([0.3, math.log(2.3), math.log(1.4)])
+
+        def residual(y):
+            return np.array(dyn.fgh(y[0], math.exp(y[1]), math.exp(y[2]), s))
+
+        values, jac = dyn.fgh(0.3, 2.3, 1.4, s, jacobian=True)
+        np.testing.assert_array_equal(values, residual(x))
+        fd = np.empty((3, 3))
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = 1e-5
+            fd[:, j] = (residual(x + step) - residual(x - step)) / 2e-5
+        # F does not depend on alpha, so that entry is zero both ways
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-14)
+        assert jac[0, 1] == 0.0 and fd[0, 1] == 0.0
+
+
 class TestFlow:
     def test_flow_matches_integral_combination(self):
         st = dyn.DynState(m=0.1, nu=1.0, alpha=1.5, beta=0.5)
@@ -219,7 +241,7 @@ FROZEN_SWEEP = {
 
 
 class TestEquilibrium:
-    def test_ode_seeded_solve_matches_frozen_point(self):
+    def test_cold_solve_matches_frozen_point(self):
         eq = dyn.equilibrium(spec_at(0.04))
         m, alpha, sigma = FROZEN_SWEEP[0.04]
         np.testing.assert_allclose(eq.m, m, rtol=1e-9)
@@ -227,6 +249,35 @@ class TestEquilibrium:
         np.testing.assert_allclose(eq.sigma, sigma, rtol=1e-8)
         assert eq.converged and eq.max_residual < 1e-9
         assert len(eq.residuals) == 3
+        assert 0.0 <= eq.step_bound < 1e-10
+
+    def test_certification_refines_uniform_outliers(self, monkeypatch):
+        counts = []
+        legendre = dyn.legendre_rule
+
+        def recording(n, lo, hi):
+            counts.append(n)
+            return legendre(n, lo, hi)
+
+        monkeypatch.setattr(dyn, "legendre_rule", recording)
+        eq = dyn.equilibrium(spec_at(0.04, outlier=("uniform", -4.0, 16.0)))
+        assert eq.nodes == 512
+        # Newton at 512 nodes uses 256 Legendre nodes, the certificate 512
+        assert set(counts) == {256, 512}
+
+    def test_cold_grid_certifies_without_the_flow(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("cold solves must not integrate the flow")
+
+        monkeypatch.setattr(dyn, "integrate", no_flow)
+        families = [OUT5, ("gaussian", 3.0, 4.0), ("gaussian", -6.0, 0.5),
+                    ("gaussian", 10.0, 2.0), ("uniform", -4.0, 16.0)]
+        t0 = time.perf_counter()
+        for outlier in families:
+            for eps in np.geomspace(0.2, 1e-4, 9):
+                eq = dyn.equilibrium(spec_at(float(eps), outlier=outlier))
+                assert eq.converged and eq.max_residual < dyn.CERT_TOL
+        assert time.perf_counter() - t0 < 2.0
 
     def test_explicit_guess_reaches_same_root(self):
         eq = dyn.newton_equilibrium(spec_at(0.04), (0.03, 1.4, 1.1))

@@ -38,3 +38,20 @@ def test_full_tracer_installs_counts_and_uninstalls():
     for name in ("net.forward", "net.loss", "net.backward", "net.adam"):
         assert counts[name][0] == 2
     assert [s["steps"] for s in recorder.spans if s["name"] == "net.train"] == [2]
+
+
+def test_cold_equilibrium_is_one_newton_solve():
+    tracing = load_tracing()
+    recorder = tracing.Recorder(full=True).install()
+    try:
+        eq = dynamics.equilibrium(dynamics.ContaminationSpec(epsilon=0.04))
+    finally:
+        recorder.uninstall()
+    assert eq.converged
+    names = [s["name"] for s in recorder.spans]
+    assert names.count("dynamics.newton_equilibrium") == 1
+    assert names.count("dynamics.integrate") == 0
+    assert not any(s.get("fallback") for s in recorder.spans)
+    counts = recorder.counts()
+    assert counts["dynamics.asymptotic_guess"][0] == 1
+    assert "dynamics.integrate.fgh" not in counts

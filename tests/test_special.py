@@ -27,6 +27,20 @@ class TestDigamma:
                                    rtol=1e-13)
         assert sp.delta_psi(3.0) < 0.0
 
+    def test_matches_high_precision_gap(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in (1e-6, 0.07, 1.3, 19.99, 20.0, 41.0, 911.3, 1e4, 1e8):
+            exact = mpmath.digamma(x) - mpmath.digamma(mpmath.mpf(x) + 0.5)
+            np.testing.assert_allclose(sp.delta_psi(x), float(exact),
+                                       rtol=2e-15)
+
+    def test_increasing_at_large_alpha(self):
+        # steps of 6e-17 in the gap; a difference of two psi values near
+        # 6.8 is noisy at 1e-15 and would not be monotone here
+        gaps = [sp.delta_psi(911.0 + 1e-10 * k) for k in range(40)]
+        assert all(a < b for a, b in zip(gaps, gaps[1:]))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sp.delta_psi(0.0)
