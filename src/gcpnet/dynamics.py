@@ -2,11 +2,12 @@
 
 The network-free limit of the belief updates is a four-variable ODE driven
 by three population integrals.  This module evaluates those integrals by
-quadrature, integrates the flow, solves for equilibria by damped Newton
-with the analytic Jacobian (started from the small-contamination
-asymptotics and certified at doubled quadrature order), and runs the two
-inverse-problem verifications (first-order variance correction,
-super-polynomial mean closeness).
+quadrature, integrates the flow, solves for equilibria (started from the
+small-contamination asymptotics and certified at doubled quadrature
+order), and runs the two inverse-problem verifications (first-order
+variance correction, super-polynomial mean closeness).  Equilibria,
+inverse problems and mean roots share one damped Newton with analytic
+Jacobians, which gives up after 30 iterations.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ DYNAMICS_NODES_DEFAULT = 512
 
 ALPHA_CAP = 1e4
 SOLVE_TOL = 1e-11
+NEWTON_MAX_ITER = 30
+SWEEP_STEP_RATIO = 2.0
 CERT_TOL = 1e-9
 
 
@@ -401,46 +404,39 @@ def _admissible(x):
     return abs(la) <= math.log(ALPHA_CAP) and abs(ls) <= 60.0 and abs(m) <= 1e6
 
 
-def _newton_fgh(spec, x0, nodes, max_iter=80, tol=SOLVE_TOL):
-    """Damped Newton for (F,G,H)=0 over (m, ln alpha, ln sigma) with the
-    analytic Jacobian.
+def _damped_newton(evaluate, x0, tol, caps=None):
+    """Damped Newton for r(x) = 0; `evaluate(x)` returns (r, J), or None
+    outside the domain.  Returns (root, iterations).
 
     A damped step is accepted when either the natural level falls,
     |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
-    test, which follows the curved (alpha, sigma) valley where the plain
-    residual norm is dominated by H), or the residual norm falls.
+    test, which follows curved valleys where the plain residual norm is
+    dominated by one component), or the residual norm falls.  `caps(x)`
+    bounds each coordinate's step from x.  Raises NonConvergenceError
+    when the line search stalls or after NEWTON_MAX_ITER iterations.
     """
-
-    def evaluate(x):
-        if not _admissible(x):
-            return None
-        values, jac = fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
-                          nodes=nodes, jacobian=True)
-        return np.array(values), jac
-
-    x = np.array([x0[0], math.log(x0[1]), math.log(x0[2])])
+    x = np.asarray(x0, dtype=float)
     current = evaluate(x)
     if current is None:
-        raise NonConvergenceError("initial guess outside the admissible region")
+        raise NonConvergenceError(f"initial guess outside the domain: {x}")
     r, jac = current
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian at {x}") from exc
         norm = float(np.max(np.abs(r)))
         if norm < tol:
-            # a small residual locates the root only to |step| along the
-            # ill-conditioned (alpha, sigma) valley; the last full step
-            # costs no evaluation and squares that error
+            # a small residual locates the root only to |step| along an
+            # ill-conditioned valley; the last full step costs no
+            # evaluation and squares that error
             return x + step, it
         step_norm = float(np.linalg.norm(step))
         rnorm2 = float(np.linalg.norm(r))
-        # trust caps keep iterates out of the flat residual valley that
-        # runs toward alpha = infinity
-        lam = min(1.0, 0.7 / (abs(step[1]) + 1e-300),
-                  0.7 / (abs(step[2]) + 1e-300),
-                  0.5 * (1.0 + abs(x[0])) / (abs(step[0]) + 1e-300))
+        lam = 1.0
+        if caps is not None:
+            lam = min(lam, *(c / (abs(s) + 1e-300)
+                             for c, s in zip(caps(x), step)))
         for _ in range(30):
             trial = x + lam * step
             current = evaluate(trial)
@@ -455,8 +451,9 @@ def _newton_fgh(spec, x0, nodes, max_iter=80, tol=SOLVE_TOL):
         else:
             raise NonConvergenceError(
                 f"line search stalled at iteration {it}, residual {norm:.3e}")
-    raise NonConvergenceError(f"no convergence after {max_iter} iterations, "
-                              f"residual {float(np.max(np.abs(r))):.3e}")
+    raise NonConvergenceError(f"no convergence after {NEWTON_MAX_ITER} "
+                              f"iterations, residual "
+                              f"{float(np.max(np.abs(r))):.3e}")
 
 
 def newton_equilibrium(spec: ContaminationSpec, guess, nodes=None,
@@ -464,13 +461,26 @@ def newton_equilibrium(spec: ContaminationSpec, guess, nodes=None,
     """Newton solve from an explicit (m, alpha, sigma) guess, then certify
     the root by re-evaluating the integrals at twice the node count.
 
+    Newton runs over (m, ln alpha, ln sigma) with the analytic Jacobian.
     Only iterates inside the admissible box are ever accepted, so no point
     out on the escape channel is certified; a failed solve raises
     NonConvergenceError.  The certificate also bounds the root's location
     by the size of the Newton step |J^-1 r| at the doubled rule.
     """
     n_nodes = _dyn_nodes(nodes)
-    x, iters = _newton_fgh(spec, guess, n_nodes)
+
+    def evaluate(x):
+        if not _admissible(x):
+            return None
+        values, jac = fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
+                          nodes=n_nodes, jacobian=True)
+        return np.array(values), jac
+
+    # trust caps keep iterates out of the flat residual valley that runs
+    # toward alpha = infinity
+    x, iters = _damped_newton(
+        evaluate, (guess[0], math.log(guess[1]), math.log(guess[2])),
+        SOLVE_TOL, caps=lambda x: (0.5 * (1.0 + abs(x[0])), 0.7, 0.7))
     if not _admissible(x):
         raise NonConvergenceError(f"root outside the admissible region: {x}")
     m, alpha, sigma = float(x[0]), math.exp(x[1]), math.exp(x[2])
@@ -531,12 +541,12 @@ def equilibrium(spec: ContaminationSpec, guess=None, nodes=None) -> Equilibrium:
 
 
 def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.0),
-                      nodes=None, guess=None, max_step_ratio=2.0):
+                      nodes=None):
     """Equilibria along an epsilon grid with continuation warm starts.
 
     Epsilons are solved in descending order; each solution seeds the next
     guess with the leading-order scalings (alpha ~ 1/eps, m - m_g ~ eps).
-    Gaps wider than `max_step_ratio` are bridged by solving unreported
+    Gaps wider than SWEEP_STEP_RATIO are bridged by solving unreported
     geometric midpoints so every continuation step stays well conditioned.
     Returns (eps, Equilibrium) pairs in the caller's order.
     """
@@ -546,8 +556,8 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
     for nxt in chain[1:]:
         prev = padded[-1]
         ratio = prev / nxt
-        if ratio > max_step_ratio:
-            k = math.ceil(math.log(ratio) / math.log(max_step_ratio))
+        if ratio > SWEEP_STEP_RATIO:
+            k = math.ceil(math.log(ratio) / math.log(SWEEP_STEP_RATIO))
             for i in range(1, k):
                 padded.append(prev * (nxt / prev) ** (i / k))
         padded.append(nxt)
@@ -556,7 +566,7 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
     for eps in padded:
         spec = ContaminationSpec(epsilon=eps, m_g=m_g, v_g=v_g, outlier=outlier)
         if prev is None:
-            eq = equilibrium(spec, guess=guess, nodes=nodes)
+            eq = equilibrium(spec, nodes=nodes)
         else:
             # the previous equilibrium sits below the next root in alpha,
             # the side from which Newton reliably converges
@@ -572,46 +582,6 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
 
 
 DEFAULT_VERIFY_EPS = (0.08, 0.04, 0.02, 0.01, 0.005)
-
-
-def _newton_2d(residual, x0, max_iter=80, tol=1e-13, max_halvings=40):
-    """Damped Newton in two variables with a central-difference Jacobian."""
-    x = np.asarray(x0, dtype=float)
-    r = residual(x)
-    if r is None:
-        raise NonConvergenceError("inverse-problem guess out of range")
-    for it in range(1, max_iter + 1):
-        norm = float(np.max(np.abs(r)))
-        if norm < tol:
-            return x, it
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            rp, rm = residual(xp), residual(xm)
-            if rp is None or rm is None:
-                raise NonConvergenceError(f"iterate escaped at iteration {it}")
-            jac[:, j] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError("singular inverse-problem Jacobian") from exc
-        lam, accepted = 1.0, False
-        for _ in range(max_halvings):
-            trial = x + lam * step
-            rt = residual(trial)
-            if rt is not None and np.all(np.isfinite(rt)) \
-                    and float(np.max(np.abs(rt))) < norm:
-                x, r = trial, rt
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise NonConvergenceError(
-                f"inverse line search stalled at iteration {it}, "
-                f"residual {norm:.3e}")
-    raise NonConvergenceError("inverse problem did not converge")
 
 
 @dataclass(frozen=True)
@@ -650,6 +620,31 @@ def variance_warm_start(alpha, sigma, eps, v_p, consts):
     return v_g0, m_o0
 
 
+def _inverse_residual(x, eps, alpha, sigma, v_o, m_g, n_nodes):
+    """(G, H) at m = m_g and their Jacobian in x = (ln v_g, ln (m_o - m_g))
+    for the inverse problem; None outside its domain.
+
+    At m = m_g the generative terms depend on v_g only through v_g / sigma,
+    so their ln v_g column is minus their ln sigma column; the outlier
+    terms depend on m_o - m, so their m_o column is minus their m column.
+    """
+    lv, lm = x
+    if abs(lv) > 30.0 or lm > 700.0:
+        return None
+    offset = math.exp(lm)
+    spec = ContaminationSpec(epsilon=eps, m_g=m_g, v_g=math.exp(lv),
+                             outlier=("gaussian", m_g + offset, v_o))
+    gen, out = (_component_fgh(m_g, alpha, sigma, weight, kind, a, b,
+                               n_nodes, jacobian=True)
+                for weight, kind, a, b in spec.components())
+    (_, g_gen, h_gen), j_gen = gen
+    (_, g_out, h_out), j_out = out
+    r = np.array([g_gen + g_out + delta_psi(alpha), h_gen + h_out])
+    jac = np.array([[-j_gen[1, 2], -offset * j_out[1, 0]],
+                    [-j_gen[2, 2], -offset * j_out[2, 0]]])
+    return r, jac
+
+
 def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
                                v_o=1.0, m_g=0.0, nodes=None) -> VarianceReport:
     """Inverse-equilibrium check of the first-order variance correction.
@@ -674,20 +669,12 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
                                     deviation=0.0, slope=math.nan,
                                     converged=True))
             continue
-
-        def residual(x, eps=eps):
-            lv, lm = x
-            if abs(lv) > 30.0 or lm > 700.0:
-                return None
-            spec = ContaminationSpec(
-                epsilon=eps, m_g=m_g, v_g=math.exp(lv),
-                outlier=("gaussian", m_g + math.exp(lm), v_o))
-            _, g, h = fgh(m_g, alpha, sigma, spec, nodes=n_nodes)
-            return np.array([g, h])
-
         v_g0, m_o0 = variance_warm_start(alpha, sigma, eps, v_p, consts)
         try:
-            x, _ = _newton_2d(residual, (math.log(v_g0), math.log(m_o0)))
+            x, _ = _damped_newton(
+                lambda x: _inverse_residual(x, eps, alpha, sigma, v_o, m_g,
+                                            n_nodes),
+                (math.log(v_g0), math.log(m_o0)), 1e-13)
             v_g, m_o = math.exp(x[0]), math.exp(x[1])
             deviation = abs(v_g - (1.0 - consts.b * eps) * v_p)
             slope = (v_p - v_g) / (eps * v_p)
@@ -702,46 +689,30 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
                           rows=tuple(rows))
 
 
-def solve_mean_root(spec: ContaminationSpec, alpha, sigma, start=None,
-                    nodes=None, max_iter=60):
+def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
     """Root of the mean-pull integral near the generative mean.
 
-    Newton with the analytic derivative of F; the folded evaluation keeps
-    sub-femto roots meaningful when the mixture is nearly symmetric.
+    Newton from m_g with the analytic derivative of F, converged when |F|
+    falls below 1e-13 |F(m_g)|; the folded evaluation keeps sub-femto roots
+    meaningful when the mixture is nearly symmetric.  A failed solve
+    raises NonConvergenceError.
     """
     n_nodes = _dyn_nodes(nodes)
 
-    def f_and_deriv(m):
+    def evaluate(x):
         f = d = 0.0
         for weight, kind, a, b in spec.components():
-            (fv, _, _), jac = _component_fgh(m, alpha, sigma, weight, kind,
+            (fv, _, _), jac = _component_fgh(x[0], alpha, sigma, weight, kind,
                                              a, b, n_nodes, jacobian=True)
             f += fv
             d += float(jac[0, 0])
-        return f, d
+        return np.array([f]), np.array([[d]])
 
-    m = float(start) if start is not None else spec.m_g
-    f, d = f_and_deriv(m)
-    f0 = abs(f)
-    if f0 == 0.0:
-        return m
-    for _ in range(max_iter):
-        if d == 0.0:
-            raise NonConvergenceError("flat mean derivative")
-        step = -f / d
-        lam = 1.0
-        for _ in range(40):
-            trial = m + lam * step
-            ft, dt = f_and_deriv(trial)
-            if abs(ft) < abs(f):
-                m, f, d = trial, ft, dt
-                break
-            lam *= 0.5
-        else:
-            return m
-        if abs(f) < 1e-13 * f0 or abs(lam * step) < 1e-30 * max(1.0, abs(m)):
-            return m
-    return m
+    r0, _ = evaluate([spec.m_g])
+    if r0[0] == 0.0:
+        return spec.m_g
+    x, _ = _damped_newton(evaluate, [spec.m_g], 1e-13 * abs(r0[0]))
+    return float(x[0])
 
 
 @dataclass(frozen=True)
@@ -790,9 +761,13 @@ def verify_mean_exponential(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
             continue
         spec = ContaminationSpec(epsilon=vr.epsilon, m_g=m_g, v_g=vr.v_g,
                                  outlier=("gaussian", vr.m_o, v_o))
-        m_p = solve_mean_root(spec, alpha, sigma, nodes=nodes)
+        try:
+            m_p = solve_mean_root(spec, alpha, sigma, nodes=nodes)
+        except NonConvergenceError:
+            m_p = math.nan
         rows.append(MeanRow(epsilon=vr.epsilon, v_g=vr.v_g, m_o=vr.m_o,
-                            m_p=m_p, deviation=abs(m_p - m_g), converged=True))
+                            m_p=m_p, deviation=abs(m_p - m_g),
+                            converged=not math.isnan(m_p)))
     return MeanReport(alpha=alpha, sigma=sigma, m_g=m_g, rows=tuple(rows))
 
 

@@ -376,6 +376,21 @@ class TestBifurcation:
         arr = np.array(roots)
         assert np.all(arr.max(axis=0) - arr.min(axis=0) < 1e-8)
 
+    def test_stalled_start_exits_within_iteration_cap(self, monkeypatch):
+        # from this start Newton wanders the escape valley; the iteration
+        # cap ends the solve (471 fgh calls with an 80-iteration cap)
+        calls = []
+        fgh = dyn.fgh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fgh(*args, **kwargs)
+
+        monkeypatch.setattr(dyn, "fgh", counting)
+        with pytest.raises(dyn.NonConvergenceError, match="30 iterations"):
+            dyn.newton_equilibrium(spec_at(0.02), (0.313, 24.2, 16.7))
+        assert len(calls) < 200
+
     def test_flow_field_never_rests_without_contamination(self):
         s = spec_at(0.0)
         rows = dyn.field_grid(np.geomspace(0.3, 50.0, 10),
@@ -430,6 +445,27 @@ class TestVarianceVerification:
         rep = dyn.verify_variance_correction(alpha=2.0, sigma=2.0, eps_seq=eps)
         assert abs(rep.rows[-1].slope - rep.b) / rep.b < 0.01
 
+    @pytest.mark.parametrize("alpha, sigma", [(2.0, 2.0), (3.0, 1.0)])
+    def test_inverse_jacobian_matches_central_differences(self, alpha, sigma):
+        eps = 0.01
+        x = np.array([math.log(1.2), math.log(6.0)])
+
+        def residual(y):
+            s = dyn.ContaminationSpec(
+                epsilon=eps, v_g=math.exp(y[0]),
+                outlier=("gaussian", math.exp(y[1]), 1.0))
+            return np.array(dyn.fgh(0.0, alpha, sigma, s)[1:])
+
+        values, jac = dyn._inverse_residual(x, eps, alpha, sigma, 1.0, 0.0,
+                                            dyn.DYNAMICS_NODES_DEFAULT)
+        np.testing.assert_array_equal(values, residual(x))
+        fd = np.empty((2, 2))
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = 1e-5
+            fd[:, j] = (residual(x + step) - residual(x - step)) / 2e-5
+        np.testing.assert_allclose(jac, fd, rtol=1e-6)
+
     def test_other_alpha_sigma_pair(self):
         rep = dyn.verify_variance_correction(alpha=3.0, sigma=1.0,
                                              eps_seq=(0.002, 0.001))
@@ -449,6 +485,23 @@ class TestMeanVerification:
         for k in (2, 3):
             seq = rep.power_ratios(k)
             assert all(a > b for a, b in zip(seq, seq[1:]))
+
+    def test_failed_mean_root_marks_row_unconverged(self, monkeypatch):
+        newton = dyn._damped_newton
+
+        def failing_mean_root(evaluate, x0, tol, caps=None):
+            if len(x0) == 1:
+                raise dyn.NonConvergenceError("line search stalled")
+            return newton(evaluate, x0, tol, caps)
+
+        monkeypatch.setattr(dyn, "_damped_newton", failing_mean_root)
+        rep = dyn.verify_mean_exponential(alpha=2.0, sigma=2.0,
+                                          eps_seq=(0.01, 0.0))
+        row, clean = rep.rows
+        assert not row.converged
+        assert math.isnan(row.m_p) and math.isnan(row.deviation)
+        np.testing.assert_allclose(row.v_g, FROZEN_VG[3], atol=2e-8)
+        assert clean.converged and clean.m_p == 0.0
 
     def test_symmetric_mixture_mean_root_is_exact(self):
         s = spec_at(0.3, outlier=("uniform", -2.0, 2.0))
