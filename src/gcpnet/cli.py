@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import data as dat
-from . import dynamics as dyn
 from . import metrics as met
 from . import net
-from .special import NumericError, a_equation_residual, solve_A
+from .special import (ConditionError, NonConvergenceError, NumericError,
+                      a_equation_residual, solve_A)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,8 +114,8 @@ def _parse_range(text, name):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"{name} expects lo:hi:n, got {text!r}")
-    if n < 1 or not lo < hi:
-        raise UsageError(f"{name} needs lo < hi and n >= 1")
+    if n < 1 or not -math.inf < lo < hi < math.inf:
+        raise UsageError(f"{name} needs finite lo < hi and n >= 1")
     if lo > 0:
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
@@ -123,7 +123,11 @@ def _parse_range(text, name):
 
 def _contamination_spec(args, epsilon):
     # every dynamics command builds its mixture here first; uniform
-    # outliers get half the nodes, so fewer than 2 leaves them none
+    # outliers get half the nodes, so fewer than 2 leaves them none.
+    # dynamics is imported by its commands only, to keep the others'
+    # start-up short
+    from . import dynamics as dyn
+
     if args.nodes is not None and args.nodes < 2:
         raise UsageError(f"--nodes must be at least 2, got {args.nodes}")
     if args.uniform_outliers is not None:
@@ -135,7 +139,7 @@ def _contamination_spec(args, epsilon):
     try:
         return dyn.ContaminationSpec(epsilon=epsilon, m_g=args.m_g,
                                      v_g=args.v_g, outlier=outlier)
-    except dyn.ConditionError as exc:
+    except ConditionError as exc:
         # malformed mixture parameters are a flag problem, not a refusal
         raise UsageError(str(exc))
 
@@ -340,6 +344,8 @@ def cmd_train(args):
 
 
 def cmd_dynamics_simulate(args):
+    from . import dynamics as dyn
+
     if not (math.isfinite(args.t_end) and args.t_end > 0.0):
         raise UsageError(f"--t-end must be positive and finite, "
                          f"got {args.t_end}")
@@ -374,6 +380,8 @@ def cmd_dynamics_simulate(args):
 
 
 def cmd_dynamics_equilibrium(args):
+    from . import dynamics as dyn
+
     spec = _contamination_spec(args, args.epsilon)
     guess = None
     if args.guess is not None:
@@ -401,6 +409,8 @@ def cmd_dynamics_equilibrium(args):
 
 
 def cmd_dynamics_sweep(args):
+    from . import dynamics as dyn
+
     eps_values = _parse_floats(args.eps, "--eps")
     for eps in eps_values:
         if not 0.0 <= eps < 1.0:
@@ -408,9 +418,9 @@ def cmd_dynamics_sweep(args):
     spec0 = _contamination_spec(args, max(eps_values))
     dyn.check_condition(spec0)
     if min(eps_values) <= 0.0:
-        raise dyn.ConditionError("epsilon must be positive: without "
-                                 "contamination there is no finite "
-                                 "equilibrium branch")
+        raise ConditionError("epsilon must be positive: without "
+                             "contamination there is no finite "
+                             "equilibrium branch")
     ind = dyn.indicators(spec0)
     m_o = dyn.outlier_moments(spec0)["mean"]
     alpha_limit = 3.0 * spec0.v_g**2 / ind.c_go
@@ -439,6 +449,8 @@ def cmd_dynamics_sweep(args):
 
 
 def cmd_dynamics_field(args):
+    from . import dynamics as dyn
+
     spec = _contamination_spec(args, args.epsilon)
     alphas = _parse_range(args.alpha_range, "--alpha-range")
     sigmas = _parse_range(args.sigma_range, "--sigma-range")
@@ -688,13 +700,13 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return args.func(args)
-    except dyn.ConditionError as exc:
+    except ConditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (dyn.NonConvergenceError, NumericError,
+    except (NonConvergenceError, NumericError,
             net.TrainingDiverged) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.special import zeta
 
 from .special import (
+    ConditionError,
+    NonConvergenceError,
     NumericError,
     delta_psi,
     hermite_rule,
@@ -34,14 +36,6 @@ SOLVE_TOL = 1e-11
 NEWTON_MAX_ITER = 30
 SWEEP_STEP_RATIO = 2.0
 CERT_TOL = 1e-9
-
-
-class ConditionError(ValueError):
-    """A precondition on the contamination mixture is violated."""
-
-
-class NonConvergenceError(RuntimeError):
-    """A Newton solve failed; the message carries the iterate diagnostics."""
 
 
 def _dyn_nodes(nodes):

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcpnet
 from gcpnet import cli
 from gcpnet import data as dat
 
@@ -36,6 +41,13 @@ class TestSolveA:
 
     def test_negative_alpha_is_usage_error(self):
         assert cli.main(["solve-a", "--alpha", "-1"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--alpha", "inf"],
+                                       ["--grid", "1:inf:3"],
+                                       ["--grid", "-inf:1:3"]])
+    def test_infinite_alpha_is_usage_error(self, flags, capsys):
+        assert cli.main(["solve-a", *flags]) == 2
+        assert "nan" not in capsys.readouterr().out
 
     def test_alpha_and_grid_together_rejected(self):
         assert cli.main(["solve-a", "--alpha", "1", "--grid", "1:2:3"]) == 2
@@ -276,6 +288,13 @@ class TestDynamics:
             da, ds = float(row[2]), float(row[3])
             assert math.hypot(da, ds) > 1e-4
 
+    @pytest.mark.parametrize("flag", ["--alpha-range", "--sigma-range"])
+    def test_field_infinite_range_is_usage_error(self, tmp_path, capsys,
+                                                 flag):
+        assert cli.main(["dynamics", "field", "--epsilon", "0.05",
+                         flag, "1:inf:2", "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_simulate_writes_trajectory(self, tmp_path):
         assert cli.main(["dynamics", "simulate", "--epsilon", "0.05",
                          "--t-end", "30", "--out", str(tmp_path)]) == 0
@@ -363,3 +382,17 @@ class TestBench:
     def test_bad_fraction_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "synthetic", "--fractions", "0,1.5",
                          "--out", str(tmp_path)]) == 2
+
+
+def test_cli_import_skips_heavy_modules():
+    # every command pays the import of gcpnet.cli; scipy.interpolate (and
+    # the scipy.optimize it imports) and dynamics would add about 0.3 s
+    src = str(pathlib.Path(gcpnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, gcpnet.cli\n"
+             "print(' '.join(m for m in ('scipy.interpolate', "
+             "'scipy.optimize', 'gcpnet.dynamics') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""

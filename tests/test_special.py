@@ -155,6 +155,12 @@ class TestSolveA:
         with pytest.raises(ValueError):
             sp.solve_A(0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        # the limit A(inf) = 1 is no root a bisection can find
+        with pytest.raises(ValueError, match="finite"):
+            sp.solve_A(alpha)
+
 
 class TestAlphaTable:
     def test_interpolation_accuracy(self):
@@ -162,6 +168,32 @@ class TestAlphaTable:
         for alpha in (0.01, 0.37, 1.0, 7.3, 212.0, 990.0):
             direct = alpha - sp.solve_A(alpha)
             assert abs(tab.gap(alpha) - direct) / direct < 1e-6
+
+    def test_worst_midpoint_error(self):
+        # the geometric midpoints of the knots are where the interpolant is
+        # farthest from a solve; measured worst relative error 1.8e-9
+        tab = sp.alpha_table()
+        mids = np.sqrt(tab.alphas[:-1] * tab.alphas[1:])
+        direct = np.array([a - sp.solve_A(a) for a in mids])
+        assert np.max(np.abs(tab.gap_many(mids) / direct - 1.0)) < 1e-8
+
+    def test_interpolant_matches_scipy_pchip(self):
+        from scipy.interpolate import PchipInterpolator
+
+        tab = sp.alpha_table()
+        ref = PchipInterpolator(tab.log_alphas,
+                                np.log(2.0 * (tab.alphas - tab.a_values)))
+        np.testing.assert_array_equal(tab.log_alphas, ref.x)
+        np.testing.assert_array_equal(tab.coefficients, ref.c)
+        rng = np.random.default_rng(0)
+        queries = np.concatenate([tab.alphas, np.exp(rng.uniform(
+            tab.log_alphas[0], tab.log_alphas[-1], 100_000))])
+        expected = 0.5 * np.exp(ref(np.log(queries)))
+        np.testing.assert_array_equal(tab.gap_many(queries), expected)
+        # the scalar path takes math.log and math.exp, as it did on scipy
+        for alpha in queries[:1000]:
+            alpha = float(alpha)
+            assert tab.gap(alpha) == 0.5 * math.exp(float(ref(math.log(alpha))))
 
     def test_outside_range_falls_back_to_direct_solve(self):
         tab = sp.alpha_table()
