@@ -372,7 +372,8 @@ def cmd_dynamics_simulate(args):
               {"spec": _spec_payload(spec), "t_end": args.t_end,
                "state": [state.m, state.nu, state.alpha, state.beta],
                "settled": traj.settled, "escaped": traj.escaped,
-               "truncated": traj.truncated},
+               "truncated": traj.truncated, "evaluations": traj.evaluations,
+               "rejected": traj.rejected},
               ["trajectory.csv"])
     print(f"steps {len(traj.t)}  settled {traj.settled}  "
           f"escaped {traj.escaped}")

@@ -2,7 +2,10 @@
 
 The network-free limit of the belief updates is a four-variable ODE driven
 by three population integrals.  This module evaluates those integrals by
-quadrature, integrates the flow, solves for equilibria (started from the
+quadrature over node data cached per mixture component, integrates the
+flow by step-doubling RK4 on plain floats (10 flow evaluations per
+attempted step plus one per new state: the full step and the first half
+step share their first stage), solves for equilibria (started from the
 small-contamination asymptotics and certified at doubled quadrature
 order), and runs the two inverse-problem verifications (first-order
 variance correction, super-polynomial mean closeness).  Equilibria,
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta
@@ -128,6 +132,22 @@ def mixture_mean_variance(spec: ContaminationSpec):
     return mean, second - mean * mean
 
 
+@lru_cache(maxsize=32)
+def _component_nodes(kind, a, b, n_nodes):
+    """Read-only node data of one mixture component: the weights, then for
+    a gaussian N(a, b) the offsets sqrt(b) * x of the n-node Hermite rule
+    and their squares, for a uniform on [a, b] the n/2 Legendre nodes."""
+    if kind == "gaussian":
+        rule = hermite_rule(n_nodes)
+        offsets = math.sqrt(b) * rule.nodes
+        offsets_sq = offsets * offsets
+        offsets.setflags(write=False)
+        offsets_sq.setflags(write=False)
+        return rule.weights, offsets, offsets_sq
+    rule = legendre_rule(n_nodes // 2, a, b)
+    return rule.weights, rule.nodes, None
+
+
 def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
                    jacobian=False):
     """One mixture component's contribution to (F, G, H), and with
@@ -137,29 +157,28 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     n/2-node Legendre rule, so doubling n refines both.  The mean integrand
     is evaluated pairwise over the symmetric Hermite nodes so that the
     near-cancellation at a symmetric mixture is exact instead of
-    catastrophic.  Returns ((f, g, h), jac) with jac None unless asked for.
+    catastrophic; the nodes are exactly antisymmetric, so the mirror
+    node's denominator is `den` reversed.  Returns ((f, g, h), jac) with
+    jac None unless asked for.
     """
     two_sigma = 2.0 * sigma
+    weights, points, offsets_sq = _component_nodes(kind, a, b, n_nodes)
     if kind == "gaussian":
-        rule = hermite_rule(n_nodes)
-        offsets = math.sqrt(b) * rule.nodes
         c = a - m
-        z = c + offsets
+        z = c + points
         density = 1.0
     else:
-        rule = legendre_rule(n_nodes // 2, a, b)
-        z = rule.nodes - m
+        z = points - m
         density = 1.0 / (b - a)
     zsq = z * z
     den = two_sigma + zsq
     if kind == "gaussian":
-        pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
-        pair_den = (two_sigma + (c + offsets) ** 2) * (two_sigma + (c - offsets) ** 2)
-        f_val = 0.5 * float(rule.weights @ (pair_num / pair_den))
+        pair_num = 2.0 * c * (two_sigma + c * c - offsets_sq)
+        f_val = 0.5 * float(weights @ (pair_num / (den * den[::-1])))
     else:
-        f_val = float(rule.weights @ (z / den))
-    g_val = float(rule.weights @ np.log1p(zsq / two_sigma))
-    h_val = float(rule.weights @ ((alpha * zsq - sigma) / den))
+        f_val = float(weights @ (z / den))
+    g_val = float(weights @ np.log1p(zsq / two_sigma))
+    h_val = float(weights @ ((alpha * zsq - sigma) / den))
     vals = (weight * (f_val * density), weight * (g_val * density),
             weight * (h_val * density))
     if not jacobian:
@@ -169,11 +188,11 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     inv = 1.0 / den
     z_inv = z * inv
     zsq_inv = zsq * inv
-    z_den = rule.weights @ z_inv
-    zsq_den = rule.weights @ zsq_inv
-    z_den2 = rule.weights @ (z_inv * inv)
-    zsq_den2 = rule.weights @ (zsq_inv * inv)
-    f_m = rule.weights @ ((zsq - two_sigma) * inv * inv)
+    z_den = weights @ z_inv
+    zsq_den = weights @ zsq_inv
+    z_den2 = weights @ (z_inv * inv)
+    zsq_den2 = weights @ (zsq_inv * inv)
+    f_m = weights @ ((zsq - two_sigma) * inv * inv)
     shape = 2.0 * alpha + 1.0
     jac = np.array([
         [f_m, 0.0, -two_sigma * z_den2],
@@ -241,21 +260,26 @@ def default_state(spec: ContaminationSpec) -> DynState:
     return DynState(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
 
 
+def _rates(m, nu, alpha, beta, spec, nodes):
+    """(dm, dnu, dalpha, dbeta) at one point, and the H they came from."""
+    f, g, h = fgh(m, alpha, beta * (nu + 1.0) / nu, spec, nodes=nodes)
+    return ((2.0 * alpha + 1.0) * f, -h / (nu * (nu + 1.0)), -g, h / beta), h
+
+
 def flow(state: DynState, spec: ContaminationSpec, nodes=None):
     """Time derivatives (dm, dnu, dalpha, dbeta) plus the induced dsigma."""
-    sigma = state.sigma
-    f, g, h = fgh(state.m, state.alpha, sigma, spec, nodes=nodes)
-    dm = (2.0 * state.alpha + 1.0) * f
-    dalpha = -g
-    dbeta = h / state.beta
-    dnu = -h / (state.nu * (state.nu + 1.0))
-    dsigma = ((state.nu + 1.0) ** 2 / (state.nu**2 * sigma)
-              + sigma / ((state.nu + 1.0) ** 2 * state.nu**2)) * h
-    return dm, dnu, dalpha, dbeta, dsigma
+    rates, h = _rates(state.m, state.nu, state.alpha, state.beta, spec, nodes)
+    nu, sigma = state.nu, state.sigma
+    dsigma = ((nu + 1.0) ** 2 / (nu**2 * sigma)
+              + sigma / ((nu + 1.0) ** 2 * nu**2)) * h
+    return rates + (dsigma,)
 
 
 @dataclass
 class Trajectory:
+    """Accepted states of one run; `evaluations` counts the flow
+    evaluations it made and `rejected` the step attempts it threw away."""
+
     t: np.ndarray
     m: np.ndarray
     nu: np.ndarray
@@ -265,18 +289,33 @@ class Trajectory:
     settled: bool = False
     truncated: bool = False
     escaped: bool = False
+    evaluations: int = 0
+    rejected: int = 0
 
     def end_state(self) -> DynState:
         return DynState(m=float(self.m[-1]), nu=float(self.nu[-1]),
                         alpha=float(self.alpha[-1]), beta=float(self.beta[-1]))
 
 
-def _rk4_step(u, dt, rhs):
-    k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _StepReject(Exception):
+    """A stage left the positive orthant or produced non-finite rates."""
+
+
+def _finite_rates(k):
+    if k is None or not all(map(math.isfinite, k)):
+        raise _StepReject
+    return k
+
+
+def _rk4_step(u, k1, dt, stage):
+    """Classical RK4 step of size dt from u, given its first stage k1."""
+    half = 0.5 * dt
+    k2 = stage(tuple(x + half * k for x, k in zip(u, k1)))
+    k3 = stage(tuple(x + half * k for x, k in zip(u, k2)))
+    k4 = stage(tuple(x + dt * k for x, k in zip(u, k3)))
+    sixth = dt / 6.0
+    return tuple(x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for x, a, b, c, d in zip(u, k1, k2, k3, k4))
 
 
 def integrate(state0: DynState, spec: ContaminationSpec, t_end,
@@ -284,33 +323,36 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
               settle_tol=None, escape_bound=None) -> Trajectory:
     """Adaptive RK4 with step doubling and positivity rejection.
 
-    Stops early when `settle_tol` is given and all normalized derivatives
-    fall below it, or when `escape_bound` is given and both alpha and
+    Each attempt takes one full step and two half steps.  The full step
+    and the first half step share their first stage f(u), which is
+    evaluated once per state and reused by rejected retries, so an attempt
+    costs 10 flow evaluations and each new state one more.  Stops early
+    when `settle_tol` is given and all normalized derivatives fall below
+    it (that derivative is the next step's first stage, so the check costs
+    nothing extra), or when `escape_bound` is given and both alpha and
     sigma exceed it; running out of steps or shrinking the step below
     floor marks the trajectory truncated.
     """
+    evaluations = 0
 
-    def rhs(u):
+    def rates(u):
+        nonlocal evaluations
         m, nu, alpha, beta = u
         if nu <= 0 or alpha <= 0 or beta <= 0:
             return None
-        return np.array(flow(DynState(m, nu, alpha, beta), spec, nodes)[:4])
+        evaluations += 1
+        return _rates(m, nu, alpha, beta, spec, nodes)[0]
 
-    def safe_rhs(u):
-        r = rhs(u)
-        if r is None or not np.all(np.isfinite(r)):
-            raise _StepReject
-        return r
+    def stage(u):
+        return _finite_rates(rates(u))
 
-    class _StepReject(Exception):
-        pass
-
-    u = np.array([state0.m, state0.nu, state0.alpha, state0.beta])
+    u = (state0.m, state0.nu, state0.alpha, state0.beta)
+    k1 = None
     t = 0.0
     dt = min(1e-3, t_end) if t_end > 0 else 0.0
-    ts, rows = [0.0], [u.copy()]
+    ts, rows = [0.0], [u]
     settled = truncated = escaped = False
-    steps = 0
+    steps = rejected = 0
     while t < t_end:
         if steps >= max_steps:
             truncated = True
@@ -318,31 +360,36 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
         steps += 1
         dt = min(dt, t_end - t)
         try:
-            full = _rk4_step(u, dt, safe_rhs)
-            half = _rk4_step(u, 0.5 * dt, safe_rhs)
-            two_half = _rk4_step(half, 0.5 * dt, safe_rhs)
-            bad = (np.any(full[1:] <= 0) or np.any(two_half[1:] <= 0)
-                   or not np.all(np.isfinite(full))
-                   or not np.all(np.isfinite(two_half)))
+            if k1 is None:
+                k1 = rates(u)
+            first = _finite_rates(k1)
+            full = _rk4_step(u, first, dt, stage)
+            half = _rk4_step(u, first, 0.5 * dt, stage)
+            two_half = _rk4_step(half, stage(half), 0.5 * dt, stage)
+            bad = (any(x <= 0 for x in full[1:] + two_half[1:])
+                   or not all(map(math.isfinite, full + two_half)))
         except _StepReject:
             bad = True
         if bad:
+            rejected += 1
             dt *= 0.5
             if dt < 1e-14 * max(1.0, t):
                 truncated = True
                 break
             continue
-        scale = atol + rtol * np.abs(two_half)
-        err = float(np.max(np.abs(two_half - full) / scale)) / 15.0
+        err = max(abs(b - a) / (atol + rtol * abs(b))
+                  for a, b in zip(full, two_half)) / 15.0
         if err > 1.0:
+            rejected += 1
             dt *= max(0.2, 0.9 * err**-0.2)
             continue
-        u = two_half + (two_half - full) / 15.0
-        if np.any(u[1:] <= 0):
+        u = tuple(b + (b - a) / 15.0 for a, b in zip(full, two_half))
+        if any(x <= 0 for x in u[1:]):
             u = two_half
+        k1 = None
         t += dt
         ts.append(t)
-        rows.append(u.copy())
+        rows.append(u)
         if err > 0:
             dt *= min(5.0, 0.9 * err**-0.2)
         else:
@@ -354,18 +401,20 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
                 escaped = True
                 break
         if settle_tol is not None:
-            deriv = rhs(u)
-            if deriv is not None:
-                rates = np.abs(deriv) / np.maximum(np.abs(u), 1e-12)
-                rates[0] = abs(deriv[0]) / max(1.0, abs(u[0]))
-                if float(np.max(rates)) < settle_tol:
-                    settled = True
-                    break
+            # u is positive, so these are its rates, which also serve as
+            # the next attempt's first stage
+            k1 = rates(u)
+            scaled = [abs(k1[0]) / max(1.0, abs(m))] + [
+                abs(d) / max(abs(x), 1e-12) for d, x in zip(k1[1:], u[1:])]
+            if all(r < settle_tol for r in scaled):
+                settled = True
+                break
     arr = np.array(rows)
     return Trajectory(
         t=np.array(ts), m=arr[:, 0], nu=arr[:, 1], alpha=arr[:, 2],
         beta=arr[:, 3], sigma=arr[:, 3] * (arr[:, 1] + 1.0) / arr[:, 1],
-        settled=settled, truncated=truncated, escaped=escaped)
+        settled=settled, truncated=truncated, escaped=escaped,
+        evaluations=evaluations, rejected=rejected)
 
 
 @dataclass(frozen=True)

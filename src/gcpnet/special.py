@@ -260,12 +260,9 @@ class AlphaTable:
         return ((c[3, i] + c[2, i] * s) + c[1, i] * s2) + c[0, i] * (s2 * s)
 
     def gap(self, alpha: float) -> float:
-        """alpha - A(alpha), the quantity the prognostic variance divides by."""
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
-        if alpha < self.alphas[0] or alpha > self.alphas[-1]:
-            return alpha - solve_A(alpha)
-        return 0.5 * math.exp(float(self._log_twice_gap(math.log(alpha))))
+        """alpha - A(alpha), the quantity the prognostic variance divides by;
+        one point of `gap_many`, so both paths agree bitwise."""
+        return float(self.gap_many([alpha])[0])
 
     def gap_many(self, alphas) -> np.ndarray:
         """Vectorized gap over an array of alphas (prediction-time path)."""

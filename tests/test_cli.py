@@ -302,6 +302,10 @@ class TestDynamics:
         assert header == ["t", "m", "nu", "alpha", "beta", "sigma"]
         assert float(rows[0][0]) == 0.0
         assert float(rows[-1][0]) == 30.0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        # every accepted step costs at least 11 flow evaluations
+        assert manifest["evaluations"] >= 11 * (len(rows) - 1)
+        assert manifest["rejected"] >= 0
 
     def test_simulate_warns_but_proceeds_when_indicator_negative(
             self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcpnet import dynamics as dyn
-from gcpnet.special import solve_A
+from gcpnet.special import hermite_rule, legendre_rule, solve_A
 
 OUT5 = ("gaussian", 5.0, 1.0)
 
@@ -133,6 +133,63 @@ class TestIntegrals:
         np.testing.assert_allclose(f, 0.7 * clean[0] + f_u, atol=1e-9)
 
 
+def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
+    """One component's values and Jacobian with the rules built on every
+    call and the mirror denominator computed from c - offsets."""
+    two_sigma = 2.0 * sigma
+    if kind == "gaussian":
+        rule = hermite_rule(n)
+        offsets = math.sqrt(b) * rule.nodes
+        c = a - m
+        z = c + offsets
+        density = 1.0
+    else:
+        rule = legendre_rule(n // 2, a, b)
+        z = rule.nodes - m
+        density = 1.0 / (b - a)
+    w = rule.weights
+    zsq = z * z
+    den = two_sigma + zsq
+    if kind == "gaussian":
+        pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
+        pair_den = ((two_sigma + (c + offsets) ** 2)
+                    * (two_sigma + (c - offsets) ** 2))
+        f = 0.5 * float(w @ (pair_num / pair_den))
+    else:
+        f = float(w @ (z / den))
+    g = float(w @ np.log1p(zsq / two_sigma))
+    h = float(w @ ((alpha * zsq - sigma) / den))
+    vals = (weight * (f * density), weight * (g * density),
+            weight * (h * density))
+    inv = 1.0 / den
+    z_inv, zsq_inv = z * inv, zsq * inv
+    z_den2, zsq_den2 = w @ (z_inv * inv), w @ (zsq_inv * inv)
+    shape = 2.0 * alpha + 1.0
+    jac = np.array([
+        [w @ ((zsq - two_sigma) * inv * inv), 0.0, -two_sigma * z_den2],
+        [-2.0 * (w @ z_inv), 0.0, -(w @ zsq_inv)],
+        [-two_sigma * shape * z_den2, alpha * (w @ zsq_inv),
+         -sigma * shape * zsq_den2],
+    ])
+    return vals, weight * (jac * density)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("component", [("gaussian", 5.0, 1.0),
+                                       ("gaussian", -1.5, 4.0),
+                                       ("uniform", -4.0, 16.0)])
+def test_component_fgh_is_bitwise_the_reference(component, n):
+    # the cached nodes and the reversed mirror denominator change no bit
+    rng = np.random.default_rng(11)
+    for m, log_alpha, log_sigma in rng.uniform(-3.0, 3.0, size=(20, 3)):
+        args = (m, math.exp(log_alpha), math.exp(log_sigma), 0.3) + component
+        want_vals, want_jac = reference_component_fgh(*args, n)
+        for jacobian in (False, True):
+            vals, jac = dyn._component_fgh(*args, n, jacobian=jacobian)
+            assert vals == want_vals
+        np.testing.assert_array_equal(jac, want_jac)
+
+
 class TestJacobian:
     @pytest.mark.parametrize("outlier", [OUT5, ("uniform", -4.0, 16.0)])
     def test_analytic_jacobian_matches_central_differences(self, outlier):
@@ -218,6 +275,41 @@ class TestIntegrate:
         ratio = traj.alpha[-1] / traj.alpha[half]
         np.testing.assert_allclose(ratio, 2.0, rtol=0.08)
 
+    @staticmethod
+    def count_fgh(monkeypatch):
+        calls = [0]
+        fgh = dyn.fgh
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return fgh(*args, **kwargs)
+
+        monkeypatch.setattr(dyn, "fgh", counting)
+        return calls
+
+    def test_escape_attempt_costs_ten_evaluations(self, monkeypatch):
+        # the full step and the first half step share f(u), and a rejected
+        # retry reuses it; the escaping state's own f(u) is never needed
+        calls = self.count_fgh(monkeypatch)
+        start = dyn.DynState(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
+        traj = dyn.integrate(start, spec_at(0.0), t_end=5e6, escape_bound=1e3)
+        accepted = len(traj.t) - 1
+        assert traj.escaped and traj.rejected > 0
+        assert calls[0] == traj.evaluations
+        assert traj.evaluations == 10 * (accepted + traj.rejected) + accepted
+
+    def test_settle_check_costs_no_extra_evaluation(self, monkeypatch):
+        # the settle check's f(u) is the next step's first stage, so only
+        # the start state adds one beyond the escape run's count
+        calls = self.count_fgh(monkeypatch)
+        start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
+        traj = dyn.integrate(start, spec_at(0.1), t_end=600.0,
+                             settle_tol=1e-8)
+        accepted = len(traj.t) - 1
+        assert traj.settled and traj.rejected > 0
+        assert calls[0] == traj.evaluations
+        assert traj.evaluations == 10 * (accepted + traj.rejected) + accepted + 1
+
     def test_step_budget_marks_truncation(self):
         s = spec_at(0.1)
         start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
@@ -260,6 +352,9 @@ class TestEquilibrium:
             return legendre(n, lo, hi)
 
         monkeypatch.setattr(dyn, "legendre_rule", recording)
+        # node data is cached per component; start cold so every rule the
+        # solve needs is built, and recorded, here
+        dyn._component_nodes.cache_clear()
         eq = dyn.equilibrium(spec_at(0.04, outlier=("uniform", -4.0, 16.0)))
         assert eq.nodes == 512
         # Newton at 512 nodes uses 256 Legendre nodes, the certificate 512

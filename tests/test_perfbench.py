@@ -4,11 +4,12 @@ refactor that renames or drops one of those names fail in this suite, not
 only in a benchmark run."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
 
-from gcpnet import dynamics, net
+from gcpnet import cli, dynamics, net
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -55,3 +56,21 @@ def test_cold_equilibrium_is_one_newton_solve():
     counts = recorder.counts()
     assert counts["dynamics.asymptotic_guess"][0] == 1
     assert "dynamics.integrate.fgh" not in counts
+
+
+def test_tracer_counts_every_flow_evaluation_of_a_simulate(tmp_path, capsys):
+    # a count of 0 means integrate reached fgh by a name the tracer does
+    # not patch
+    tracing = load_tracing()
+    recorder = tracing.Recorder(full=True).install()
+    try:
+        code = cli.main(["dynamics", "simulate", "--epsilon", "0.1",
+                         "--t-end", "20", "--out", str(tmp_path)])
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["evaluations"] > 0
+    assert (recorder.counts()["dynamics.integrate.fgh"][0]
+            == manifest["evaluations"])

@@ -57,6 +57,13 @@ class TestQuadratureRules:
         np.testing.assert_allclose(r.weights @ r.nodes**2, 1.0, rtol=1e-13)
         np.testing.assert_allclose(r.weights @ r.nodes**4, 3.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 128, 512, 1024])
+    def test_hermite_nodes_are_exactly_antisymmetric(self, n):
+        # dynamics reads the mirror node's denominator off the reversed
+        # array, which is exact only if node n-1-i is minus node i
+        nodes = sp.hermite_rule(n).nodes
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+
     def test_hermite_integrates_smooth_function(self):
         r = sp.hermite_rule(128)
         got = sp.gauss_weighted_integral(np.cos, r)
@@ -190,10 +197,10 @@ class TestAlphaTable:
             tab.log_alphas[0], tab.log_alphas[-1], 100_000))])
         expected = 0.5 * np.exp(ref(np.log(queries)))
         np.testing.assert_array_equal(tab.gap_many(queries), expected)
-        # the scalar path takes math.log and math.exp, as it did on scipy
+        # the scalar path is one point of the array path
         for alpha in queries[:1000]:
             alpha = float(alpha)
-            assert tab.gap(alpha) == 0.5 * math.exp(float(ref(math.log(alpha))))
+            assert tab.gap(alpha) == 0.5 * float(np.exp(ref(np.log(alpha))))
 
     def test_outside_range_falls_back_to_direct_solve(self):
         tab = sp.alpha_table()
@@ -202,11 +209,15 @@ class TestAlphaTable:
                                        alpha - sp.solve_A(alpha), rtol=1e-13)
 
     def test_gap_many_matches_scalar_path(self):
+        # bitwise, so gcp.prognostic and net.prognostic_arrays agree on V_p
         tab = sp.alpha_table()
-        alphas = np.array([1e-4, 0.5, 2.0, 700.0, 5e3])
+        rng = np.random.default_rng(3)
+        alphas = np.concatenate([[1e-4, 0.5, 2.0, 700.0, 5e3], tab.alphas,
+                                 np.exp(rng.uniform(math.log(1e-3),
+                                                    math.log(1e3), 20_000))])
         got = tab.gap_many(alphas)
         ref = np.array([tab.gap(float(a)) for a in alphas])
-        np.testing.assert_allclose(got, ref, rtol=1e-13)
+        np.testing.assert_array_equal(got, ref)
 
     def test_gap_many_rejects_nonpositive(self):
         tab = sp.alpha_table()
