@@ -2,7 +2,7 @@
 
 Submodules:
     special   A(alpha) solver, digamma gap, Gaussian quadrature
-    gcp       normal-gamma parameters, losses, prognostic estimates
+    gcp       normal-gamma parameters, losses, prognostic variances
     net       MLP heads, backprop, Adam, ensembles
     dynamics  training-dynamics ODE, equilibria, verification sweeps
     data      synthetic generator, contamination, normalization, CSV loading

@@ -9,6 +9,7 @@ alone.  Exit codes: 0 success, 2 usage error, 3 numeric failure,
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -53,6 +54,24 @@ TRAIN_DEFAULTS = {
     "learning_rate": 1e-3, "dropout": 0.0, "epochs": 100, "batch_size": 20,
     "hidden": 50, "seed": 0, "n": 400, "test_n": 200, "train_fraction": 0.95,
     "contamination": 0.0, "outlier_prob": 0.05, "members": 5,
+}
+
+# setting -> (flag, help); each flag parses with its default's type
+TRAIN_FLAGS = {
+    "learning_rate": ("--lr", None),
+    "dropout": ("--dropout", None),
+    "epochs": ("--epochs", None),
+    "batch_size": ("--batch-size", None),
+    "hidden": ("--hidden", None),
+    "seed": ("--seed", None),
+    "n": ("--n", "synthetic training-set size"),
+    "test_n": ("--test-n", "synthetic test-set size"),
+    "train_fraction": ("--train-fraction", None),
+    "contamination": ("--contamination", "fraction of training targets "
+                      "replaced by wild draws after splitting"),
+    "outlier_prob": ("--outlier-prob", "synthetic generator's own outlier "
+                     "probability"),
+    "members": ("--members", "ensemble size"),
 }
 
 
@@ -223,17 +242,8 @@ def _resolve_train_config(args):
             raise UsageError(f"unknown config keys {sorted(unknown)}")
         resolved.update((key, _typed_override(key, value))
                         for key, value in overrides.items())
-    for flag, key in (("lr", "learning_rate"), ("dropout", "dropout"),
-                      ("epochs", "epochs"), ("batch_size", "batch_size"),
-                      ("hidden", "hidden"), ("seed", "seed"), ("n", "n"),
-                      ("test_n", "test_n"),
-                      ("train_fraction", "train_fraction"),
-                      ("contamination", "contamination"),
-                      ("outlier_prob", "outlier_prob"),
-                      ("members", "members")):
-        value = getattr(args, flag)
-        if value is not None:
-            resolved[key] = value
+    resolved.update((key, getattr(args, key)) for key in TRAIN_DEFAULTS
+                    if getattr(args, key) is not None)
     if not 0.0 <= resolved["contamination"] < 1.0:
         raise UsageError("contamination must lie in [0, 1)")
     if resolved["members"] < 1:
@@ -572,26 +582,10 @@ def _add_train_flags(sub):
                      f"bundle: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--config", default=None,
                      help="JSON file overriding resolved settings")
-    sub.add_argument("--lr", type=float, default=None, dest="lr")
-    sub.add_argument("--dropout", type=float, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    sub.add_argument("--hidden", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None,
-                     help="synthetic training-set size")
-    sub.add_argument("--test-n", type=int, default=None, dest="test_n",
-                     help="synthetic test-set size")
-    sub.add_argument("--train-fraction", type=float, default=None,
-                     dest="train_fraction")
-    sub.add_argument("--contamination", type=float, default=None,
-                     help="fraction of training targets replaced by wild "
-                     "draws after splitting")
-    sub.add_argument("--outlier-prob", type=float, default=None,
-                     dest="outlier_prob",
-                     help="synthetic generator's own outlier probability")
-    sub.add_argument("--members", type=int, default=None,
-                     help="ensemble size")
+    for key, (flag, text) in TRAIN_FLAGS.items():
+        sub.add_argument(flag, type=type(TRAIN_DEFAULTS[key]), default=None,
+                         dest=key, metavar=flag[2:].replace("-", "_").upper(),
+                         help=text)
     sub.add_argument("--out", required=True, help="output directory")
 
 
@@ -608,7 +602,9 @@ def _add_mixture_flags(sub, with_epsilon=True):
                      help="quadrature nodes override")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="gcpnet",
         description="Robust regression with normal-gamma belief networks "
@@ -704,9 +700,6 @@ def main(argv=None):
     except ConditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NonConvergenceError, NumericError,
             net.TrainingDiverged) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

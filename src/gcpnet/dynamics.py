@@ -40,6 +40,8 @@ SOLVE_TOL = 1e-11
 NEWTON_MAX_ITER = 30
 SWEEP_STEP_RATIO = 2.0
 CERT_TOL = 1e-9
+RTOL = 1e-8
+ATOL = 1e-10
 
 
 def _dyn_nodes(nodes):
@@ -78,9 +80,7 @@ class ContaminationSpec:
     def components(self):
         """(weight, kind, a, b) rows; gaussian rows carry (mean, variance),
         uniform rows carry (lo, hi)."""
-        comps = []
-        if self.epsilon < 1.0:
-            comps.append((1.0 - self.epsilon, "gaussian", self.m_g, self.v_g))
+        comps = [(1.0 - self.epsilon, "gaussian", self.m_g, self.v_g)]
         if self.epsilon > 0.0:
             comps.append((self.epsilon,) + tuple(self.outlier))
         return comps
@@ -319,8 +319,8 @@ def _rk4_step(u, k1, dt, stage):
 
 
 def integrate(state0: DynState, spec: ContaminationSpec, t_end,
-              nodes=None, rtol=1e-8, atol=1e-10, max_steps=100000,
-              settle_tol=None, escape_bound=None) -> Trajectory:
+              nodes=None, max_steps=100000, settle_tol=None,
+              escape_bound=None) -> Trajectory:
     """Adaptive RK4 with step doubling and positivity rejection.
 
     Each attempt takes one full step and two half steps.  The full step
@@ -377,7 +377,7 @@ def integrate(state0: DynState, spec: ContaminationSpec, t_end,
                 truncated = True
                 break
             continue
-        err = max(abs(b - a) / (atol + rtol * abs(b))
+        err = max(abs(b - a) / (ATOL + RTOL * abs(b))
                   for a, b in zip(full, two_half)) / 15.0
         if err > 1.0:
             rejected += 1
@@ -499,8 +499,8 @@ def _damped_newton(evaluate, x0, tol, caps=None):
                               f"{float(np.max(np.abs(r))):.3e}")
 
 
-def newton_equilibrium(spec: ContaminationSpec, guess, nodes=None,
-                       cert_tol=CERT_TOL) -> Equilibrium:
+def newton_equilibrium(spec: ContaminationSpec, guess,
+                       nodes=None) -> Equilibrium:
     """Newton solve from an explicit (m, alpha, sigma) guess, then certify
     the root by re-evaluating the integrals at twice the node count.
 
@@ -529,7 +529,7 @@ def newton_equilibrium(spec: ContaminationSpec, guess, nodes=None,
     m, alpha, sigma = float(x[0]), math.exp(x[1]), math.exp(x[2])
     res2, jac2 = fgh(m, alpha, sigma, spec, nodes=2 * n_nodes, jacobian=True)
     residuals = tuple(abs(v) for v in res2)
-    converged = max(residuals) < cert_tol
+    converged = max(residuals) < CERT_TOL
     eq = Equilibrium(m=m, alpha=alpha, sigma=sigma, residuals=residuals,
                      converged=converged, nodes=n_nodes, iterations=iters,
                      step_bound=float(np.max(np.abs(np.linalg.solve(jac2, res2)))))
@@ -578,8 +578,6 @@ def equilibrium(spec: ContaminationSpec, guess=None, nodes=None) -> Equilibrium:
     check_condition(spec)
     if guess is None:
         guess = asymptotic_guess(spec)
-    elif isinstance(guess, DynState):
-        guess = (guess.m, guess.alpha, guess.sigma)
     return newton_equilibrium(spec, guess, nodes=nodes)
 
 
@@ -663,9 +661,9 @@ def variance_warm_start(alpha, sigma, eps, v_p, consts):
     return v_g0, m_o0
 
 
-def _inverse_residual(x, eps, alpha, sigma, v_o, m_g, n_nodes):
-    """(G, H) at m = m_g and their Jacobian in x = (ln v_g, ln (m_o - m_g))
-    for the inverse problem; None outside its domain.
+def _inverse_residual(x, eps, alpha, sigma, n_nodes):
+    """(G, H) at m = 0 and their Jacobian in x = (ln v_g, ln m_o) for the
+    inverse problem (m_g = 0, v_o = 1); None outside its domain.
 
     At m = m_g the generative terms depend on v_g only through v_g / sigma,
     so their ln v_g column is minus their ln sigma column; the outlier
@@ -675,9 +673,9 @@ def _inverse_residual(x, eps, alpha, sigma, v_o, m_g, n_nodes):
     if abs(lv) > 30.0 or lm > 700.0:
         return None
     offset = math.exp(lm)
-    spec = ContaminationSpec(epsilon=eps, m_g=m_g, v_g=math.exp(lv),
-                             outlier=("gaussian", m_g + offset, v_o))
-    gen, out = (_component_fgh(m_g, alpha, sigma, weight, kind, a, b,
+    spec = ContaminationSpec(epsilon=eps, v_g=math.exp(lv),
+                             outlier=("gaussian", offset, 1.0))
+    gen, out = (_component_fgh(0.0, alpha, sigma, weight, kind, a, b,
                                n_nodes, jacobian=True)
                 for weight, kind, a, b in spec.components())
     (_, g_gen, h_gen), j_gen = gen
@@ -689,21 +687,21 @@ def _inverse_residual(x, eps, alpha, sigma, v_o, m_g, n_nodes):
 
 
 def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
-                               v_o=1.0, m_g=0.0, nodes=None) -> VarianceReport:
+                               nodes=None) -> VarianceReport:
     """Inverse-equilibrium check of the first-order variance correction.
 
-    For each epsilon, solve for the generative variance v_g and outlier
-    location m_o that make the fixed (alpha, sigma) an equilibrium of the
-    evidence and precision equations at m = m_g; report the deviation of
-    v_g from the first-order law (1 - b eps) v_p, whose halving ratios
-    approach 1/4.
+    For each epsilon, solve for the generative variance v_g and the
+    location m_o of a unit-variance Gaussian outlier that make the fixed
+    (alpha, sigma) an equilibrium of the evidence and precision equations
+    at m = m_g = 0; report the deviation of v_g from the first-order law
+    (1 - b eps) v_p, whose halving ratios approach 1/4.
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
     gap = alpha - solve_A(alpha)
     v_p = sigma / gap
-    consts = correction_constants(alpha, sigma, nodes=n_nodes)
+    consts = correction_constants(alpha, nodes=n_nodes)
     rows = []
     for eps in eps_seq:
         eps = float(eps)
@@ -715,13 +713,12 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
         v_g0, m_o0 = variance_warm_start(alpha, sigma, eps, v_p, consts)
         try:
             x, _ = _damped_newton(
-                lambda x: _inverse_residual(x, eps, alpha, sigma, v_o, m_g,
-                                            n_nodes),
+                lambda x: _inverse_residual(x, eps, alpha, sigma, n_nodes),
                 (math.log(v_g0), math.log(m_o0)), 1e-13)
             v_g, m_o = math.exp(x[0]), math.exp(x[1])
             deviation = abs(v_g - (1.0 - consts.b * eps) * v_p)
             slope = (v_p - v_g) / (eps * v_p)
-            rows.append(VarianceRow(epsilon=eps, v_g=v_g, m_o=m_g + m_o,
+            rows.append(VarianceRow(epsilon=eps, v_g=v_g, m_o=m_o,
                                     deviation=deviation, slope=slope,
                                     converged=True))
         except NonConvergenceError:
@@ -772,7 +769,6 @@ class MeanRow:
 class MeanReport:
     alpha: float
     sigma: float
-    m_g: float
     rows: tuple
 
     def power_ratios(self, k):
@@ -782,49 +778,48 @@ class MeanReport:
 
 
 def verify_mean_exponential(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
-                            v_o=1.0, m_g=0.0, nodes=None) -> MeanReport:
+                            nodes=None) -> MeanReport:
     """Super-polynomial closeness of the fitted mean to the generative mean.
 
     Reuses the inverse-problem mixtures from the variance verification and
     solves the mean-pull root at each epsilon; the deviation |m_p - m_g|
-    must fall faster than eps^2 and eps^3.
+    (m_g = 0) must fall faster than eps^2 and eps^3.
     """
     var_report = verify_variance_correction(alpha, sigma, eps_seq=eps_seq,
-                                            v_o=v_o, m_g=m_g, nodes=nodes)
+                                            nodes=nodes)
     rows = []
     for vr in var_report.rows:
         if vr.epsilon == 0.0:
             rows.append(MeanRow(epsilon=0.0, v_g=vr.v_g, m_o=math.nan,
-                                m_p=m_g, deviation=0.0, converged=True))
+                                m_p=0.0, deviation=0.0, converged=True))
             continue
         if not vr.converged:
             rows.append(MeanRow(epsilon=vr.epsilon, v_g=math.nan, m_o=math.nan,
                                 m_p=math.nan, deviation=math.nan,
                                 converged=False))
             continue
-        spec = ContaminationSpec(epsilon=vr.epsilon, m_g=m_g, v_g=vr.v_g,
-                                 outlier=("gaussian", vr.m_o, v_o))
+        spec = ContaminationSpec(epsilon=vr.epsilon, v_g=vr.v_g,
+                                 outlier=("gaussian", vr.m_o, 1.0))
         try:
             m_p = solve_mean_root(spec, alpha, sigma, nodes=nodes)
         except NonConvergenceError:
             m_p = math.nan
         rows.append(MeanRow(epsilon=vr.epsilon, v_g=vr.v_g, m_o=vr.m_o,
-                            m_p=m_p, deviation=abs(m_p - m_g),
+                            m_p=m_p, deviation=abs(m_p),
                             converged=not math.isnan(m_p)))
-    return MeanReport(alpha=alpha, sigma=sigma, m_g=m_g, rows=tuple(rows))
+    return MeanReport(alpha=alpha, sigma=sigma, rows=tuple(rows))
 
 
 def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
-               m=None, nu=1.0, nodes=None):
-    """(alpha, sigma, dalpha, dsigma) rows over a grid at fixed m and nu."""
+               m=None, nodes=None):
+    """(alpha, sigma, dalpha, dsigma) rows over a grid at fixed m, nu = 1."""
     if m is None:
         m = spec.m_g
     rows = []
     for alpha in map(float, alpha_values):
         for sigma in map(float, sigma_values):
             # beta maps back to this sigma exactly at nu = 1
-            state = DynState(m=m, nu=nu, alpha=alpha,
-                             beta=sigma * nu / (nu + 1.0))
+            state = DynState(m=m, nu=1.0, alpha=alpha, beta=0.5 * sigma)
             _, _, dalpha, _, dsigma = flow(state, spec, nodes=nodes)
             rows.append((alpha, sigma, dalpha, dsigma))
     return rows

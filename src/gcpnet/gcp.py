@@ -1,5 +1,5 @@
 """Probabilistic core: normal-gamma parameters, the two training losses,
-prognostic estimates, and the epsilon-correction constants.
+prognostic variances, and the epsilon-correction constants.
 
 A model output at one input point is a normal-gamma parameter vector
 (m, nu, alpha, beta).  Observing y updates it conjugately; the training loss
@@ -7,7 +7,8 @@ is either the KL divergence from that posterior back to the current
 parameters (kl_loss) or the negative marginal log-likelihood (student_nll).
 The marginal is Student's t with 2*alpha degrees of freedom, location m and
 squared scale sigma/alpha, where sigma = beta*(nu+1)/nu.  Both losses have
-identical gradients, which is what training relies on.
+identical gradients, which is what training relies on.  The prognostic
+variances of a fit have one array implementation, prognostic_variances.
 """
 
 from __future__ import annotations
@@ -144,36 +145,16 @@ def student_nll_grad(params: GcpParams, y: float):
 STUDENT_VARIANCE_INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class PrognosticEstimate:
-    """Mean/variance pair read off a fitted parameter vector.
-
-    `variance` is sigma/(alpha - A(alpha)), finite for every alpha > 0.
-    `student_variance` is the plain Student's t variance sigma/(alpha - 1),
-    which only exists for alpha > 1; otherwise it holds the infinity tag
-    and must not be used in arithmetic (sorting and serialization handle
-    the tag explicitly).
-    """
-
-    mean: float
-    variance: float
-    student_variance: float
-    alpha: float
-
-    @property
-    def student_is_finite(self) -> bool:
-        return self.student_variance != STUDENT_VARIANCE_INFINITE
-
-
-def prognostic(params: GcpParams, table=None) -> PrognosticEstimate:
-    """Prognostic estimate at one point; A(alpha) from the shared table."""
-    table = table if table is not None else alpha_table()
-    sigma = params.sigma
-    alpha = params.alpha
-    v_p = sigma / table.gap(alpha)
-    v_st = sigma / (alpha - 1.0) if alpha > 1.0 else STUDENT_VARIANCE_INFINITE
-    return PrognosticEstimate(mean=params.m, variance=v_p,
-                              student_variance=v_st, alpha=alpha)
+def prognostic_variances(nu, alpha, beta):
+    """(v_p, v_st) over aligned arrays: v_p = sigma/(alpha - A(alpha)), A
+    from the shared table, is finite for every alpha > 0; the Student's t
+    variance v_st = sigma/(alpha - 1) exists only for alpha > 1 and holds
+    the infinity tag elsewhere, which must not be used in arithmetic."""
+    sigma = beta * (nu + 1.0) / nu
+    v_p = sigma / alpha_table().gap_many(alpha)
+    v_st = np.where(alpha > 1.0, sigma / np.maximum(alpha - 1.0, 1e-300),
+                    STUDENT_VARIANCE_INFINITE)
+    return v_p, v_st
 
 
 @dataclass(frozen=True)
@@ -186,21 +167,18 @@ class CorrectionConstants:
     alpha: float
 
 
-def correction_constants(alpha: float, sigma: float = 1.0,
+def correction_constants(alpha: float,
                          nodes: int | None = None) -> CorrectionConstants:
     """b0, b1, b at this alpha.
 
-    sigma is accepted to exhibit the cancellation (the result is exactly
-    sigma-free: every integrand depends on y only through y^2/s with
-    s = 2*(alpha - A(alpha))).  The log integral uses the shared Hermite
-    rule; the normalizing integral of b uses the closed form of
-    weighted_square_mean, which stays exact for extreme alpha where a fixed
-    rule cannot resolve s.
+    The constants are exactly sigma-free: every integrand depends on y only
+    through y^2/s with s = 2*(alpha - A(alpha)).  The log integral uses the
+    shared Hermite rule; the normalizing integral of b uses the closed form
+    of weighted_square_mean, which stays exact for extreme alpha where a
+    fixed rule cannot resolve s.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
     s = 2.0 * (alpha - solve_A(alpha))
     rule = hermite_rule(nodes if nodes is not None else CORRECTION_NODES)
     mean_log = gauss_weighted_integral(lambda y: np.log1p(y * y / s), rule)
@@ -210,16 +188,16 @@ def correction_constants(alpha: float, sigma: float = 1.0,
     return CorrectionConstants(b0=b0, b1=b1, b=b, alpha=alpha)
 
 
-def corrected_variance(estimate: PrognosticEstimate, epsilon: float,
-                       constants: CorrectionConstants | None = None) -> float:
-    """(1 - b(alpha)*epsilon) * V_p, the first-order recovery of the
+def corrected_variance(v_p, alpha: float, epsilon: float,
+                       constants: CorrectionConstants | None = None):
+    """(1 - b(alpha)*epsilon) * v_p, the first-order recovery of the
     ground-truth variance from a fit on contaminated data."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    c = constants if constants is not None else correction_constants(estimate.alpha)
+    c = constants if constants is not None else correction_constants(alpha)
     factor = 1.0 - c.b * epsilon
     if factor <= 0.0:
         raise ValueError(
             f"epsilon={epsilon} exceeds the valid correction range "
-            f"1/b = {1.0 / c.b:.6g} at alpha = {estimate.alpha:.6g}")
-    return factor * estimate.variance
+            f"1/b = {1.0 / c.b:.6g} at alpha = {alpha:.6g}")
+    return factor * v_p

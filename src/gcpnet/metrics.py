@@ -4,7 +4,6 @@ its normalized area."""
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np

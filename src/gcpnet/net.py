@@ -4,6 +4,8 @@ Four independent ReLU MLP heads, stacked in one block whose weights share a
 flat buffer, predict the raw outputs; a shifted softplus maps the raw values
 for the precision-carrying outputs onto (0, inf).  The Gaussian baseline
 shares the same machinery with a mean head and a raw log-variance head.
+Initial weights come only from the generator the caller passes, and Adam
+runs with fixed constants, so a seed pins a trained model bitwise.
 Everything is plain numpy so a trained model serializes losslessly to JSON.
 """
 
@@ -12,16 +14,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .gcp import STUDENT_VARIANCE_INFINITE, nll_terms_arrays
-from .special import alpha_table
+from .gcp import (STUDENT_VARIANCE_INFINITE, nll_terms_arrays,
+                  prognostic_variances)
 
 POSITIVE_FLOOR = 1e-6
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def softplus(x):
@@ -105,18 +110,18 @@ class MlpHead:
         return [all(np.isfinite(g[k]).all() for g in self.grads.values())
                 for k in range(self.shape[0])]
 
-    def adam_step(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(self, lr):
         """One bias-corrected Adam update of every head, applied in place."""
         self._adam_t += 1
         t = self._adam_t
         g, m, v = self.grad, self._adam_m, self._adam_v
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        self.flat -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        self.flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 class HeadNetwork:
@@ -126,9 +131,7 @@ class HeadNetwork:
     HEAD_NAMES = ()
 
     def __init__(self, in_dim: int, hidden: int = 50, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
+                 *, rng: np.random.Generator):
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         self.in_dim = in_dim
@@ -205,8 +208,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 20
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -270,7 +271,7 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
                     epoch, batch_no, bad,
                     f"non-finite gradient in heads {heads} at epoch "
                     f"{epoch}, batch {batch_no}, sample {bad}")
-            block.adam_step(config.learning_rate, config.beta1, config.beta2)
+            block.adam_step(config.learning_rate)
             total += float(np.sum(nll))
         result.epoch_nll.append(total / n)
     return result
@@ -292,10 +293,7 @@ def train_ensemble(in_dim, features, targets, config: TrainConfig,
     for seq in seeds:
         rng = np.random.Generator(np.random.PCG64(seq))
         net = GcpNetwork(in_dim, hidden=hidden, dropout=dropout, rng=rng)
-        member_config = TrainConfig(
-            learning_rate=config.learning_rate, epochs=config.epochs,
-            batch_size=config.batch_size, seed=int(seq.generate_state(1)[0]),
-            beta1=config.beta1, beta2=config.beta2)
+        member_config = replace(config, seed=int(seq.generate_state(1)[0]))
         traces.append(train(net, features, targets, member_config))
         members.append(net)
     return Ensemble(members), traces
@@ -305,11 +303,7 @@ def prognostic_arrays(net: GcpNetwork, x):
     """Vectorized prognostic summary: mean, corrected-family variance,
     heavy-tailed variance (inf sentinel when undefined), and alpha."""
     m, nu, alpha, beta = net.predict_arrays(x)
-    sigma = beta * (nu + 1.0) / nu
-    gap = alpha_table().gap_many(alpha)
-    v_p = sigma / gap
-    v_st = np.where(alpha > 1.0, sigma / np.maximum(alpha - 1.0, 1e-300),
-                    STUDENT_VARIANCE_INFINITE)
+    v_p, v_st = prognostic_variances(nu, alpha, beta)
     return m, v_p, v_st, alpha
 
 

@@ -104,16 +104,11 @@ def hermite_rule(n: int) -> QuadratureRule:
                           "gauss-hermite-standardized")
 
 
-@lru_cache(maxsize=32)
-def _legendre_raw(n: int):
-    return roots_legendre(n)
-
-
 def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     """Gauss-Legendre rule mapped onto [lo, hi]; weights carry the dy measure."""
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    x, w = _legendre_raw(n)
+    x, w = roots_legendre(n)
     half = 0.5 * (hi - lo)
     return QuadratureRule(lo + half * (x + 1.0), w * half,
                           "gauss-legendre-on-interval")
@@ -229,7 +224,8 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Precomputed A(alpha) on a log grid with monotone interpolation.
+    """Precomputed A(alpha) at 512 log-spaced alphas on [1e-3, 1e3] with
+    monotone interpolation.
 
     Interpolates log(2*(alpha - A)) against log(alpha), which is nearly
     piecewise linear (slope 2 for small alpha, slope 1 for large), so the
@@ -244,8 +240,8 @@ class AlphaTable:
     coefficients: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, lo: float = 1e-3, hi: float = 1e3, n: int = 512) -> "AlphaTable":
-        alphas = np.logspace(math.log10(lo), math.log10(hi), n)
+    def build(cls) -> "AlphaTable":
+        alphas = np.logspace(-3.0, 3.0, 512)
         a_vals = np.array([solve_A(a) for a in alphas])
         knots = np.log(alphas)
         coef = _pchip_coefficients(knots, np.log(2.0 * (alphas - a_vals)))
@@ -276,9 +272,6 @@ class AlphaTable:
         for i in np.nonzero(~inside)[0]:
             out[i] = arr[i] - solve_A(arr[i])
         return out
-
-    def __call__(self, alpha: float) -> float:
-        return alpha - self.gap(alpha)
 
 
 _TABLE: AlphaTable | None = None

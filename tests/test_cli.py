@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -98,6 +99,28 @@ class TestTrain:
         assert cfg["dropout"] == 0.3
         assert cfg["batch_size"] == 5
         assert cfg["epochs"] == 5
+
+    def test_every_setting_flag_lands_in_manifest(self, tmp_path):
+        flags = {"--lr": ("learning_rate", "0.002"),
+                 "--dropout": ("dropout", "0.1"),
+                 "--epochs": ("epochs", "1"),
+                 "--batch-size": ("batch_size", "10"),
+                 "--hidden": ("hidden", "4"), "--seed": ("seed", "3"),
+                 "--n": ("n", "40"), "--test-n": ("test_n", "20"),
+                 "--train-fraction": ("train_fraction", "0.9"),
+                 "--contamination": ("contamination", "0.05"),
+                 "--outlier-prob": ("outlier_prob", "0.01"),
+                 "--members": ("members", "2")}
+        assert sorted(key for key, _ in flags.values()) == sorted(
+            cli.TRAIN_DEFAULTS)
+        argv = ["train", "synthetic", "--out", str(tmp_path)]
+        for flag, (_, value) in flags.items():
+            argv += [flag, value]
+        assert cli.main(argv) == 0
+        cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        for key, value in flags.values():
+            kind = type(cli.TRAIN_DEFAULTS[key])
+            assert type(cfg[key]) is kind and cfg[key] == kind(value), key
 
     def test_preset_table_matches_protocol(self):
         assert cli.PRESETS["boston-gcp"] == {
@@ -386,6 +409,24 @@ class TestBench:
     def test_bad_fraction_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "synthetic", "--fractions", "0,1.5",
                          "--out", str(tmp_path)]) == 2
+
+
+def test_parser_is_built_once(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        assert cli.main(["solve-a", "--alpha", "2"]) == 0
+        assert cli.main(["solve-a", "--alpha", "3"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert progs.count("gcpnet") == 1
 
 
 def test_cli_import_skips_heavy_modules():

@@ -98,8 +98,6 @@ class TestGenerateSynthetic:
             dat.SyntheticSpec(n=0)
         with pytest.raises(ValueError):
             dat.SyntheticSpec(outlier_prob=1.0)
-        with pytest.raises(ValueError):
-            dat.SyntheticSpec(x_range=(1.0, -1.0))
 
 
 class TestContaminate:

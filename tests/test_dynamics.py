@@ -551,7 +551,7 @@ class TestVarianceVerification:
                 outlier=("gaussian", math.exp(y[1]), 1.0))
             return np.array(dyn.fgh(0.0, alpha, sigma, s)[1:])
 
-        values, jac = dyn._inverse_residual(x, eps, alpha, sigma, 1.0, 0.0,
+        values, jac = dyn._inverse_residual(x, eps, alpha, sigma,
                                             dyn.DYNAMICS_NODES_DEFAULT)
         np.testing.assert_array_equal(values, residual(x))
         fd = np.empty((2, 2))

@@ -152,32 +152,35 @@ class TestStudentNll:
                 gcp.student_nll_grad(p, y[i]), rtol=1e-10, atol=1e-13)
 
 
+def variances_at(nu, alpha, beta):
+    """prognostic_variances at one point, as two length-1 arrays."""
+    return gcp.prognostic_variances(np.array([nu]), np.array([alpha]),
+                                    np.array([beta]))
+
+
 class TestPrognostic:
     def test_corrected_variance_uses_alpha_gap(self):
         p = gcp.GcpParams(m=0.1, nu=1.0, alpha=2.0, beta=1.0)
         assert p.sigma == 2.0
-        est = gcp.prognostic(p)
-        np.testing.assert_allclose(est.variance, 1.448085819272, atol=1e-10)
-        np.testing.assert_allclose(est.student_variance, 2.0, rtol=1e-14)
-        assert est.student_is_finite
+        v_p, v_st = variances_at(p.nu, p.alpha, p.beta)
+        np.testing.assert_allclose(v_p, 1.448085819272, atol=1e-10)
+        np.testing.assert_allclose(v_st, 2.0, rtol=1e-14)
+        assert v_st[0] != gcp.STUDENT_VARIANCE_INFINITE
 
     def test_student_variance_infinite_tag_at_low_alpha(self):
-        p = gcp.GcpParams(m=0.0, nu=1.0, alpha=0.9, beta=1.0)
-        est = gcp.prognostic(p)
-        assert est.student_variance == gcp.STUDENT_VARIANCE_INFINITE
-        assert not est.student_is_finite
-        assert math.isfinite(est.variance) and est.variance > 0
+        v_p, v_st = variances_at(1.0, 0.9, 1.0)
+        assert v_st[0] == gcp.STUDENT_VARIANCE_INFINITE
+        assert math.isfinite(v_p[0]) and v_p[0] > 0
 
     def test_corrected_always_below_student(self):
         # alpha - A(alpha) > alpha - 1 for every alpha, so the corrected
         # variance never exceeds the plain Student one when both exist
         rng = np.random.default_rng(2)
-        for _ in range(30):
-            p = gcp.GcpParams(m=0.0, nu=float(rng.uniform(0.5, 3.0)),
-                              alpha=float(rng.uniform(1.05, 30.0)),
-                              beta=float(rng.uniform(0.2, 3.0)))
-            est = gcp.prognostic(p)
-            assert est.variance < est.student_variance
+        nu, alpha, beta = np.array([
+            (rng.uniform(0.5, 3.0), rng.uniform(1.05, 30.0),
+             rng.uniform(0.2, 3.0)) for _ in range(30)]).T
+        v_p, v_st = gcp.prognostic_variances(nu, alpha, beta)
+        assert np.all(v_p < v_st)
 
 
 class TestCorrectionConstants:
@@ -197,12 +200,6 @@ class TestCorrectionConstants:
             np.testing.assert_allclose(c.b * solve_A(alpha), 2.0 * alpha,
                                        rtol=1e-11)
 
-    def test_constants_are_sigma_free(self):
-        a = gcp.correction_constants(2.0, sigma=1.0)
-        b = gcp.correction_constants(2.0, sigma=7.0)
-        np.testing.assert_allclose((a.b0, a.b1, a.b), (b.b0, b.b1, b.b),
-                                   rtol=1e-13)
-
     def test_internal_identity_ties_all_three(self):
         # b0 + b1 = b/(2a+1) - delta_psi(a) by construction
         for alpha in (0.7, 2.0, 11.0):
@@ -220,17 +217,15 @@ class TestCorrectionConstants:
         assert abs(scaled[2] - scaled[1]) < abs(scaled[1] - scaled[0])
 
     def test_corrected_variance_applies_factor(self):
-        p = gcp.GcpParams(m=0.0, nu=1.0, alpha=2.0, beta=1.0)
-        est = gcp.prognostic(p)
+        v_p, _ = variances_at(1.0, 2.0, 1.0)
         c = gcp.correction_constants(2.0)
-        got = gcp.corrected_variance(est, 0.05, constants=c)
-        np.testing.assert_allclose(got, (1.0 - 0.05 * c.b) * est.variance,
+        got = gcp.corrected_variance(v_p, 2.0, 0.05, constants=c)
+        np.testing.assert_allclose(got, (1.0 - 0.05 * c.b) * v_p,
                                    rtol=1e-14)
 
     def test_corrected_variance_rejects_out_of_range_epsilon(self):
-        p = gcp.GcpParams(m=0.0, nu=1.0, alpha=2.0, beta=1.0)
-        est = gcp.prognostic(p)
+        v_p, _ = variances_at(1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
-            gcp.corrected_variance(est, 0.5)   # 1 - 0.5*b(2) < 0
+            gcp.corrected_variance(v_p, 2.0, 0.5)   # 1 - 0.5*b(2) < 0
         with pytest.raises(ValueError):
-            gcp.corrected_variance(est, -0.01)
+            gcp.corrected_variance(v_p, 2.0, -0.01)

@@ -35,6 +35,13 @@ INVOCATIONS = {
     "bench": ["bench", "synthetic", "--fractions", "0,0.1", "--repeats", "1",
               "--epochs", "5"],
     "solve-a": ["solve-a", "--grid", "0.01:100:9"],
+    "dynamics-equilibrium": ["dynamics", "equilibrium", "--epsilon", "0.04"],
+    "dynamics-sweep": ["dynamics", "sweep", "--eps", "0.04,0.02,0.01"],
+    "dynamics-field": ["dynamics", "field", "--epsilon", "0.04",
+                       "--alpha-range", "0.5:50:4",
+                       "--sigma-range", "0.5:50:4"],
+    "dynamics-simulate": ["dynamics", "simulate", "--epsilon", "0.05",
+                          "--t-end", "20"],
 }
 
 

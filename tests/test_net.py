@@ -170,6 +170,11 @@ class TestGcpNetwork:
                           alpha=float(alpha[0]), beta=float(beta[0]))
         assert p.nu > 0 and p.alpha > 0 and p.beta > 0
 
+    def test_weights_need_an_explicit_rng(self):
+        # an unseeded default would break the same-seed-same-model contract
+        with pytest.raises(TypeError):
+            nn.GcpNetwork(1)
+
     def test_eval_equals_train_without_dropout(self):
         netw = nn.GcpNetwork(1, hidden=10, rng=np.random.default_rng(1))
         x = np.array([[0.2], [-0.4]])

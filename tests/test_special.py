@@ -209,7 +209,7 @@ class TestAlphaTable:
                                        alpha - sp.solve_A(alpha), rtol=1e-13)
 
     def test_gap_many_matches_scalar_path(self):
-        # bitwise, so gcp.prognostic and net.prognostic_arrays agree on V_p
+        # the scalar path is one point of the array path, bitwise
         tab = sp.alpha_table()
         rng = np.random.default_rng(3)
         alphas = np.concatenate([[1e-4, 0.5, 2.0, 700.0, 5e3], tab.alphas,
@@ -223,10 +223,6 @@ class TestAlphaTable:
         tab = sp.alpha_table()
         with pytest.raises(ValueError):
             tab.gap_many(np.array([1.0, 0.0]))
-
-    def test_call_returns_a_value(self):
-        tab = sp.alpha_table()
-        np.testing.assert_allclose(tab(2.0), 2.0 - tab.gap(2.0), rtol=1e-12)
 
     def test_shared_instance_is_cached(self):
         assert sp.alpha_table() is sp.alpha_table()
