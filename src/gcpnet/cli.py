@@ -21,6 +21,7 @@ import numpy as np
 from . import data as dat
 from . import metrics as met
 from . import net
+from .gcp import GcpParams
 from .special import (ConditionError, NonConvergenceError, NumericError,
                       a_equation_residual, solve_A)
 
@@ -364,11 +365,8 @@ def cmd_dynamics_simulate(args):
         print("warning: outlier indicator c_go <= 0; the trajectory may "
               "not settle at a finite equilibrium", file=sys.stderr)
     if args.state is not None:
-        m, nu, alpha, beta = _parse_floats(args.state, "--state", 4)
-        try:
-            state = dyn.DynState(m=m, nu=nu, alpha=alpha, beta=beta)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        # a non-finite or non-positive field is a usage error (exit 2)
+        state = GcpParams(*_parse_floats(args.state, "--state", 4))
     else:
         state = dyn.default_state(spec)
     traj = dyn.integrate(state, spec, t_end=args.t_end, nodes=args.nodes,
@@ -427,12 +425,11 @@ def cmd_dynamics_sweep(args):
         if not 0.0 <= eps < 1.0:
             raise UsageError(f"epsilon must lie in [0, 1), got {eps}")
     spec0 = _contamination_spec(args, max(eps_values))
-    dyn.check_condition(spec0)
+    ind = dyn.check_condition(spec0)
     if min(eps_values) <= 0.0:
         raise ConditionError("epsilon must be positive: without "
                              "contamination there is no finite "
                              "equilibrium branch")
-    ind = dyn.indicators(spec0)
     m_o = dyn.outlier_moments(spec0)["mean"]
     alpha_limit = 3.0 * spec0.v_g**2 / ind.c_go
     pairs = dyn.equilibrium_sweep(eps_values, m_g=args.m_g, v_g=args.v_g,
@@ -481,35 +478,27 @@ def cmd_dynamics_field(args):
 # bench
 
 
+# model kind -> bench.csv names of its rankings by v_p, then by v_st
+BENCH_MODELS = {"gcp": ("gcp", "gcp_st"), "baseline": ("baseline",),
+                "ensemble": ("ens_gcp",)}
+
+
 def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
     job = dict(resolved)
     job["seed"] = job_seed
     job["contamination"] = fraction
     train_norm, test_norm, test_raw = _prepare_splits(
         source, job, outlier_prob=0.0)
-    stats = train_norm.normalization
     results = []
-
-    gcp = _fit_model(train_norm, job, "gcp")
-    mean, v_p, v_st, _ = _predict_original_scale(gcp, "gcp", test_norm, stats)
-    targets = test_raw.targets
-    curve_p = met.rejection_curve(mean, v_p, targets)
-    curve_st = met.rejection_curve(mean, v_st, targets)
-    results.append(("gcp", curve_p.rmse_at_n[0], curve_p.auc))
-    results.append(("gcp_st", curve_st.rmse_at_n[0], curve_st.auc))
-
-    base = _fit_model(train_norm, job, "baseline")
-    mean_b, var_b, _, _ = _predict_original_scale(
-        base, "baseline", test_norm, stats)
-    curve_b = met.rejection_curve(mean_b, var_b, targets)
-    results.append(("baseline", curve_b.rmse_at_n[0], curve_b.auc))
-
-    if with_ensemble:
-        ens = _fit_model(train_norm, job, "ensemble")
-        mean_e, v_pe, _, _ = _predict_original_scale(
-            ens, "ensemble", test_norm, stats)
-        curve_e = met.rejection_curve(mean_e, v_pe, targets)
-        results.append(("ens_gcp", curve_e.rmse_at_n[0], curve_e.auc))
+    for kind, names in BENCH_MODELS.items():
+        if kind == "ensemble" and not with_ensemble:
+            continue
+        model = _fit_model(train_norm, job, kind)
+        mean, *variances, _ = _predict_original_scale(
+            model, kind, test_norm, train_norm.normalization)
+        for name, variance in zip(names, variances):
+            curve = met.rejection_curve(mean, variance, test_raw.targets)
+            results.append((name, curve.rmse_at_n[0], curve.auc))
     return results
 
 

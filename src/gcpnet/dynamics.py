@@ -31,7 +31,7 @@ from .special import (
     legendre_rule,
     solve_A,
 )
-from .gcp import correction_constants
+from .gcp import GcpParams, correction_constants
 
 DYNAMICS_NODES_DEFAULT = 512
 
@@ -235,29 +235,15 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     return ((f, g, h), jac) if jacobian else (f, g, h)
 
 
-@dataclass(frozen=True)
-class DynState:
-    """Belief-parameter point moved by the flow; sigma is derived."""
-
-    m: float
-    nu: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.nu > 0 and self.alpha > 0 and self.beta > 0):
-            raise ValueError("nu, alpha, beta must be positive")
-
-    @property
-    def sigma(self):
-        return self.beta * (self.nu + 1.0) / self.nu
+# the flow moves the belief point that a network outputs for one input
+DynState = GcpParams
 
 
-def default_state(spec: ContaminationSpec) -> DynState:
+def default_state(spec: ContaminationSpec) -> GcpParams:
     """Start of a flow run: the mixture mean, nu = 1, alpha = 1.5 and the
     beta that puts sigma at the mixture variance."""
     mean_c, var_c = mixture_mean_variance(spec)
-    return DynState(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
+    return GcpParams(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
 
 
 def _rates(m, nu, alpha, beta, spec, nodes):
@@ -266,7 +252,7 @@ def _rates(m, nu, alpha, beta, spec, nodes):
     return ((2.0 * alpha + 1.0) * f, -h / (nu * (nu + 1.0)), -g, h / beta), h
 
 
-def flow(state: DynState, spec: ContaminationSpec, nodes=None):
+def flow(state: GcpParams, spec: ContaminationSpec, nodes=None):
     """Time derivatives (dm, dnu, dalpha, dbeta) plus the induced dsigma."""
     rates, h = _rates(state.m, state.nu, state.alpha, state.beta, spec, nodes)
     nu, sigma = state.nu, state.sigma
@@ -292,9 +278,10 @@ class Trajectory:
     evaluations: int = 0
     rejected: int = 0
 
-    def end_state(self) -> DynState:
-        return DynState(m=float(self.m[-1]), nu=float(self.nu[-1]),
-                        alpha=float(self.alpha[-1]), beta=float(self.beta[-1]))
+    def end_state(self) -> GcpParams:
+        return GcpParams(m=float(self.m[-1]), nu=float(self.nu[-1]),
+                         alpha=float(self.alpha[-1]),
+                         beta=float(self.beta[-1]))
 
 
 class _StepReject(Exception):
@@ -318,7 +305,7 @@ def _rk4_step(u, k1, dt, stage):
                  for x, a, b, c, d in zip(u, k1, k2, k3, k4))
 
 
-def integrate(state0: DynState, spec: ContaminationSpec, t_end,
+def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
               nodes=None, max_steps=100000, settle_tol=None,
               escape_bound=None) -> Trajectory:
     """Adaptive RK4 with step doubling and positivity rejection.
@@ -737,16 +724,10 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
     meaningful when the mixture is nearly symmetric.  A failed solve
     raises NonConvergenceError.
     """
-    n_nodes = _dyn_nodes(nodes)
-
     def evaluate(x):
-        f = d = 0.0
-        for weight, kind, a, b in spec.components():
-            (fv, _, _), jac = _component_fgh(x[0], alpha, sigma, weight, kind,
-                                             a, b, n_nodes, jacobian=True)
-            f += fv
-            d += float(jac[0, 0])
-        return np.array([f]), np.array([[d]])
+        (f, _, _), jac = fgh(x[0], alpha, sigma, spec, nodes=nodes,
+                             jacobian=True)
+        return np.array([f]), jac[:1, :1]
 
     r0, _ = evaluate([spec.m_g])
     if r0[0] == 0.0:
@@ -819,7 +800,7 @@ def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
     for alpha in map(float, alpha_values):
         for sigma in map(float, sigma_values):
             # beta maps back to this sigma exactly at nu = 1
-            state = DynState(m=m, nu=1.0, alpha=alpha, beta=0.5 * sigma)
+            state = GcpParams(m=m, nu=1.0, alpha=alpha, beta=0.5 * sigma)
             _, _, dalpha, _, dsigma = flow(state, spec, nodes=nodes)
             rows.append((alpha, sigma, dalpha, dsigma))
     return rows

@@ -9,6 +9,13 @@ The marginal is Student's t with 2*alpha degrees of freedom, location m and
 squared scale sigma/alpha, where sigma = beta*(nu+1)/nu.  Both losses have
 identical gradients, which is what training relies on.  The prognostic
 variances of a fit have one array implementation, prognostic_variances.
+
+Training runs on the array form nll_terms_arrays.  The scalar API
+(GcpParams, posterior_update, kl_loss, kl_grad, student_nll,
+student_nll_grad) is kept on purpose: it is acceptance criterion 2's
+independent reference for the paper's KL/NLL gradient identity, against
+which nll_terms_arrays is checked.  GcpParams is also the state that the
+training-dynamics flow moves.
 """
 
 from __future__ import annotations
@@ -41,10 +48,8 @@ class GcpParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.nu <= 0 or self.alpha <= 0 or self.beta <= 0:
-            raise ValueError(
-                f"nu, alpha, beta must be positive, got "
-                f"({self.nu!r}, {self.alpha!r}, {self.beta!r})")
+            if name != "m" and not v > 0:
+                raise ValueError(f"{name} must be positive, got {v!r}")
 
     @property
     def sigma(self) -> float:

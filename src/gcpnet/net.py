@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .gcp import (STUDENT_VARIANCE_INFINITE, nll_terms_arrays,
+from .gcp import (LOG_2PI, STUDENT_VARIANCE_INFINITE, nll_terms_arrays,
                   prognostic_variances)
 
 POSITIVE_FLOOR = 1e-6
@@ -196,7 +196,7 @@ class GaussianNet(HeadNetwork):
         mean, logvar = raw
         z = y - mean
         inv = np.exp(-logvar)
-        nll = 0.5 * (math.log(2.0 * math.pi) + logvar + z * z * inv)
+        nll = 0.5 * (LOG_2PI + logvar + z * z * inv)
         return nll, np.stack((-z * inv, 0.5 * (1.0 - z * z * inv)))
 
 
@@ -313,22 +313,18 @@ def ensemble_prognostic_arrays(ensemble: Ensemble, x):
     Variance is the mixture second moment minus the squared mixture mean;
     the heavy-tailed column is infinite whenever any member's is.
     """
-    means, v_ps, v_sts, alphas = [], [], [], []
-    for net in ensemble.members:
-        m, v_p, v_st, alpha = prognostic_arrays(net, x)
-        means.append(m)
-        v_ps.append(v_p)
-        v_sts.append(v_st)
-        alphas.append(alpha)
-    means = np.stack(means)
+    means, v_ps, v_sts, alphas = map(np.stack, zip(
+        *(prognostic_arrays(net, x) for net in ensemble.members)))
     mix_mean = means.mean(axis=0)
-    v_p_mix = (np.stack(v_ps) + means**2).mean(axis=0) - mix_mean**2
-    v_st_stack = np.stack(v_sts)
-    finite = np.isfinite(v_st_stack)
-    finite_part = np.where(finite, v_st_stack, 0.0)
-    v_st_mix = (finite_part + means**2).mean(axis=0) - mix_mean**2
-    v_st_mix = np.where(finite.all(axis=0), v_st_mix, STUDENT_VARIANCE_INFINITE)
-    return mix_mean, v_p_mix, v_st_mix, np.stack(alphas).mean(axis=0)
+
+    def mixture_variance(variances):
+        return (variances + means**2).mean(axis=0) - mix_mean**2
+
+    finite = np.isfinite(v_sts)
+    v_st_mix = np.where(finite.all(axis=0),
+                        mixture_variance(np.where(finite, v_sts, 0.0)),
+                        STUDENT_VARIANCE_INFINITE)
+    return mix_mean, mixture_variance(v_ps), v_st_mix, alphas.mean(axis=0)
 
 
 def _net_state(net):

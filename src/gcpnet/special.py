@@ -78,14 +78,13 @@ def delta_psi(alpha: float) -> float:
 class QuadratureRule:
     """Immutable node/weight pair.
 
-    kind "gauss-hermite-standardized" integrates against the standard normal
-    density (weights sum to 1); kind "gauss-legendre-on-interval" integrates
-    dy over [lo, hi] (weights sum to hi - lo).
+    A `hermite_rule` integrates against the standard normal density
+    (weights sum to 1); a `legendre_rule` integrates dy over [lo, hi]
+    (weights sum to hi - lo).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -100,8 +99,7 @@ def hermite_rule(n: int) -> QuadratureRule:
     # scipy's Golub-Welsch stays stable at high order; numpy's hermgauss
     # overflows its recurrence near n = 400
     x, w = roots_hermite(n)
-    return QuadratureRule(x * math.sqrt(2.0), w / math.sqrt(math.pi),
-                          "gauss-hermite-standardized")
+    return QuadratureRule(x * math.sqrt(2.0), w / math.sqrt(math.pi))
 
 
 def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
@@ -110,12 +108,11 @@ def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     x, w = roots_legendre(n)
     half = 0.5 * (hi - lo)
-    return QuadratureRule(lo + half * (x + 1.0), w * half,
-                          "gauss-legendre-on-interval")
+    return QuadratureRule(lo + half * (x + 1.0), w * half)
 
 
 def gauss_weighted_integral(f, rule: QuadratureRule) -> float:
-    """Sum w_i f(y_i); for the hermite kind this approximates E[f(y)], y~N(0,1)."""
+    """Sum w_i f(y_i); for a hermite rule this approximates E[f(y)], y~N(0,1)."""
     vals = np.asarray(f(rule.nodes), dtype=float)
     acc = float(np.dot(rule.weights, vals))
     if not math.isfinite(acc):
@@ -255,13 +252,9 @@ class AlphaTable:
         s2 = s * s
         return ((c[3, i] + c[2, i] * s) + c[1, i] * s2) + c[0, i] * (s2 * s)
 
-    def gap(self, alpha: float) -> float:
-        """alpha - A(alpha), the quantity the prognostic variance divides by;
-        one point of `gap_many`, so both paths agree bitwise."""
-        return float(self.gap_many([alpha])[0])
-
     def gap_many(self, alphas) -> np.ndarray:
-        """Vectorized gap over an array of alphas (prediction-time path)."""
+        """alpha - A(alpha), the quantity the prognostic variance divides
+        by, over an array of alphas of any shape, 0-d included."""
         arr = np.asarray(alphas, dtype=float)
         if np.any(arr <= 0):
             raise ValueError("alpha values must be positive")
@@ -269,8 +262,8 @@ class AlphaTable:
         inside = (arr >= self.alphas[0]) & (arr <= self.alphas[-1])
         if np.any(inside):
             out[inside] = 0.5 * np.exp(self._log_twice_gap(np.log(arr[inside])))
-        for i in np.nonzero(~inside)[0]:
-            out[i] = arr[i] - solve_A(arr[i])
+        if not np.all(inside):
+            out[~inside] = [a - solve_A(a) for a in arr[~inside]]
         return out
 
 

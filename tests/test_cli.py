@@ -353,10 +353,17 @@ class TestDynamics:
         assert "--t-end" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
-    def test_simulate_rejects_bad_state(self, tmp_path):
+    # --state value -> the field its error must name
+    BAD_STATES = {"0,-1,2,1": "nu", "nan,1,1,1": "m", "1,1,1,inf": "beta"}
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_simulate_rejects_bad_state(self, tmp_path, capsys, state):
         assert cli.main(["dynamics", "simulate", "--epsilon", "0.1",
-                         "--state", "0,-1,2,1", "--t-end", "5",
+                         "--state", state, "--t-end", "5",
                          "--out", str(tmp_path)]) == 2
+        field = self.BAD_STATES[state]
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestBench:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, psi
 
+from gcpnet import gcp
 from gcpnet import special as sp
 
 
@@ -174,7 +175,7 @@ class TestAlphaTable:
         tab = sp.alpha_table()
         for alpha in (0.01, 0.37, 1.0, 7.3, 212.0, 990.0):
             direct = alpha - sp.solve_A(alpha)
-            assert abs(tab.gap(alpha) - direct) / direct < 1e-6
+            assert abs(tab.gap_many([alpha])[0] - direct) / direct < 1e-6
 
     def test_worst_midpoint_error(self):
         # the geometric midpoints of the knots are where the interpolant is
@@ -197,27 +198,31 @@ class TestAlphaTable:
             tab.log_alphas[0], tab.log_alphas[-1], 100_000))])
         expected = 0.5 * np.exp(ref(np.log(queries)))
         np.testing.assert_array_equal(tab.gap_many(queries), expected)
-        # the scalar path is one point of the array path
+        # a one-element call is one point of the array path
         for alpha in queries[:1000]:
             alpha = float(alpha)
-            assert tab.gap(alpha) == 0.5 * float(np.exp(ref(np.log(alpha))))
+            assert (tab.gap_many([alpha])[0]
+                    == 0.5 * float(np.exp(ref(np.log(alpha)))))
 
     def test_outside_range_falls_back_to_direct_solve(self):
         tab = sp.alpha_table()
         for alpha in (1e-4, 5e3):
-            np.testing.assert_allclose(tab.gap(alpha),
+            np.testing.assert_allclose(tab.gap_many([alpha])[0],
                                        alpha - sp.solve_A(alpha), rtol=1e-13)
 
     def test_gap_many_matches_scalar_path(self):
-        # the scalar path is one point of the array path, bitwise
+        # a 0-d call is one point of the array path, bitwise, inside the
+        # table and out
         tab = sp.alpha_table()
         rng = np.random.default_rng(3)
         alphas = np.concatenate([[1e-4, 0.5, 2.0, 700.0, 5e3], tab.alphas,
                                  np.exp(rng.uniform(math.log(1e-3),
                                                     math.log(1e3), 20_000))])
         got = tab.gap_many(alphas)
-        ref = np.array([tab.gap(float(a)) for a in alphas])
+        ref = np.array([tab.gap_many(np.float64(a)) for a in alphas])
         np.testing.assert_array_equal(got, ref)
+        # so scalar prognostic variances work too
+        assert np.isfinite(gcp.prognostic_variances(1.0, 2.0, 1.0)).all()
 
     def test_gap_many_rejects_nonpositive(self):
         tab = sp.alpha_table()
