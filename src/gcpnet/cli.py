@@ -9,6 +9,7 @@ alone.  Exit codes: 0 success, 2 usage error, 3 numeric failure,
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -78,9 +79,7 @@ TRAIN_FLAGS = {
 
 def _cell(value):
     """CSV cell formatting; float repr round-trips exactly."""
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -93,6 +92,12 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def _print_csv(header, rows):
+    print(",".join(header))
+    for row in rows:
+        print(",".join(str(_cell(v)) for v in row))
 
 
 def _write_json(path, payload):
@@ -181,18 +186,14 @@ def cmd_solve_a(args):
     else:
         alphas = list(_parse_range(args.grid, "--grid"))
     rows = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        if not alpha > 0:
-            raise UsageError(f"alpha must be positive, got {alpha}")
+    for alpha in map(float, alphas):
+        # solve_A's ValueError on a non-positive alpha is a usage error
         value = solve_A(alpha)
         approx = 2.0 * alpha / (2.0 * alpha + 3.0)
         rows.append((alpha, value, approx, value - approx,
                      a_equation_residual(alpha, value)))
     header = ("alpha", "a_value", "approx", "deviation", "residual")
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(_cell(v)) for v in row))
+    _print_csv(header, rows)
     if args.out:
         out = _ensure_out(args)
         _write_csv(out / "solve_a.csv", header, rows)
@@ -223,6 +224,10 @@ def _typed_override(key, value):
 
 def _resolve_train_config(args):
     resolved = dict(TRAIN_DEFAULTS)
+    if args.command == "bench":
+        # --fractions is bench's contamination, so the generator's own
+        # outliers are off unless asked for
+        resolved["outlier_prob"] = 0.0
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise UsageError(f"unknown preset {args.preset!r}; choose from "
@@ -254,15 +259,15 @@ def _resolve_train_config(args):
     return resolved
 
 
-def _prepare_splits(source, resolved, outlier_prob=None):
+def _prepare_splits(source, resolved):
     """Split, contaminate (training side only), and normalize a data source.
 
     Returns (train_normalized, test_normalized, test_original)."""
     seed = int(resolved["seed"])
     if source == "synthetic":
-        prob = resolved["outlier_prob"] if outlier_prob is None else outlier_prob
         train_raw = dat.generate_synthetic(dat.SyntheticSpec(
-            n=int(resolved["n"]), outlier_prob=prob, seed=seed))
+            n=int(resolved["n"]), outlier_prob=resolved["outlier_prob"],
+            seed=seed))
         test_raw = dat.generate_synthetic(dat.SyntheticSpec(
             n=int(resolved["test_n"]), outlier_prob=0.0, seed=seed + 1))
     else:
@@ -320,8 +325,6 @@ def _feature_hashes(features):
 
 def cmd_train(args):
     resolved = _resolve_train_config(args)
-    if args.ensemble and args.baseline:
-        raise UsageError("--ensemble and --baseline are mutually exclusive")
     model_kind = ("ensemble" if args.ensemble
                   else "baseline" if args.baseline else "gcp")
     out = _ensure_out(args)
@@ -400,13 +403,8 @@ def cmd_dynamics_equilibrium(args):
                 and 0.0 < sigma < math.inf):
             raise UsageError(f"--guess needs a finite m and positive, finite "
                              f"alpha and sigma, got {args.guess!r}")
-    eq = dyn.equilibrium(spec, guess=guess, nodes=args.nodes)
-    payload = {"m": float(eq.m), "alpha": float(eq.alpha),
-               "sigma": float(eq.sigma),
-               "residuals": [float(r) for r in eq.residuals],
-               "converged": bool(eq.converged), "nodes": int(eq.nodes),
-               "iterations": int(eq.iterations),
-               "step_bound": float(eq.step_bound)}
+    payload = dataclasses.asdict(dyn.equilibrium(spec, guess=guess,
+                                                 nodes=args.nodes))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = _ensure_out(args)
@@ -450,9 +448,7 @@ def cmd_dynamics_sweep(args):
               {"spec": _spec_payload(spec0), "eps": eps_values,
                "alpha_limit": alpha_limit},
               ["sweep.csv"])
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(_cell(v)) for v in row))
+    _print_csv(header, rows)
     return EXIT_OK
 
 
@@ -487,8 +483,7 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
     job = dict(resolved)
     job["seed"] = job_seed
     job["contamination"] = fraction
-    train_norm, test_norm, test_raw = _prepare_splits(
-        source, job, outlier_prob=0.0)
+    train_norm, test_norm, test_raw = _prepare_splits(source, job)
     results = []
     for kind, names in BENCH_MODELS.items():
         if kind == "ensemble" and not with_ensemble:

@@ -135,9 +135,6 @@ def contaminate(ds: Dataset, fraction: float, seed: int = 0) -> Dataset:
     count = int(math.floor(fraction * ds.n))
     mask = (ds.outlier_mask.copy() if ds.outlier_mask is not None
             else np.zeros(ds.n, dtype=bool))
-    if count == 0:
-        return Dataset(features=ds.features, targets=ds.targets.copy(),
-                       outlier_mask=mask)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.choice(ds.n, size=count, replace=False)
     mean = float(np.mean(ds.targets))

@@ -31,7 +31,7 @@ from .special import (
     legendre_rule,
     solve_A,
 )
-from .gcp import GcpParams, correction_constants
+from .gcp import GcpParams, correction_constants, corrected_variance
 
 DYNAMICS_NODES_DEFAULT = 512
 
@@ -42,6 +42,9 @@ SWEEP_STEP_RATIO = 2.0
 CERT_TOL = 1e-9
 RTOL = 1e-8
 ATOL = 1e-10
+# bound on |m_g|, v_g and the outlier parameters: it keeps the moments up to
+# sixth order and the squared pair denominators of the mean pull finite
+MIXTURE_LIMIT = 1e50
 
 
 def _dyn_nodes(nodes):
@@ -76,6 +79,12 @@ class ContaminationSpec:
                 raise ConditionError("uniform outlier requires lo < hi")
         else:
             raise ConditionError(f"unknown outlier kind {kind!r}")
+        names = ("m_o", "v_o") if kind == "gaussian" else ("lo", "hi")
+        for name, value in zip(("m_g", "v_g", *names),
+                               (self.m_g, self.v_g, *self.outlier[1:])):
+            if not abs(value) <= MIXTURE_LIMIT:
+                raise ConditionError(f"{name} must be finite with magnitude "
+                                     f"<= {MIXTURE_LIMIT:g}, got {value!r}")
 
     def components(self):
         """(weight, kind, a, b) rows; gaussian rows carry (mean, variance),
@@ -88,18 +97,13 @@ class ContaminationSpec:
 
 def outlier_moments(spec: ContaminationSpec) -> dict:
     """Closed-form mean and central moments (orders 2..6) of the outlier."""
-    kind = spec.outlier[0]
-    if kind == "gaussian":
-        _, mean, v = spec.outlier
-    else:
-        _, lo, hi = spec.outlier
-        mean = 0.5 * (lo + hi)
-        v = (hi - lo) ** 2 / 12.0
+    kind, a, b = spec.outlier
     if kind == "uniform":
         # U(lo,hi): mu4 = 9V^2/5, mu6 = 27V^3/7, odd moments vanish
-        return {"mean": mean, 2: v, 3: 0.0, 4: 1.8 * v * v, 5: 0.0,
+        v = (b - a) ** 2 / 12.0
+        return {"mean": 0.5 * (a + b), 2: v, 3: 0.0, 4: 1.8 * v * v, 5: 0.0,
                 6: 27.0 * v**3 / 7.0}
-    return {"mean": mean, 2: v, 3: 0.0, 4: 3.0 * v * v, 5: 0.0, 6: 15.0 * v**3}
+    return {"mean": a, 2: b, 3: 0.0, 4: 3.0 * b * b, 5: 0.0, 6: 15.0 * b**3}
 
 
 @dataclass(frozen=True)
@@ -598,14 +602,13 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
         else:
             # the previous equilibrium sits below the next root in alpha,
             # the side from which Newton reliably converges
-            _, eq_prev = prev
             try:
-                eq = newton_equilibrium(spec, (eq_prev.m, eq_prev.alpha,
-                                               eq_prev.sigma), nodes=nodes)
+                eq = newton_equilibrium(spec, (prev.m, prev.alpha, prev.sigma),
+                                        nodes=nodes)
             except NonConvergenceError:
                 eq = newton_equilibrium(spec, asymptotic_guess(spec), nodes=nodes)
         solved[eps] = eq
-        prev = (eps, eq)
+        prev = eq
     return [(e, solved[e]) for e in requested]
 
 
@@ -624,8 +627,6 @@ class VarianceRow:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    alpha: float
-    sigma: float
     v_p: float
     b: float
     rows: tuple
@@ -639,7 +640,7 @@ class VarianceReport:
         return out
 
 
-def variance_warm_start(alpha, sigma, eps, v_p, consts):
+def variance_warm_start(sigma, eps, v_p, consts):
     """First-order generative variance and the exponential outlier location
     that keep (alpha, sigma) in balance at contamination eps."""
     v_g0 = v_p * max(1.0 - consts.b * eps, 0.05)
@@ -681,13 +682,13 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
     location m_o of a unit-variance Gaussian outlier that make the fixed
     (alpha, sigma) an equilibrium of the evidence and precision equations
     at m = m_g = 0; report the deviation of v_g from the first-order law
-    (1 - b eps) v_p, whose halving ratios approach 1/4.
+    (1 - b eps) v_p, whose halving ratios approach 1/4, and NaN where
+    b eps >= 1 leaves the law no positive variance.
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
-    gap = alpha - solve_A(alpha)
-    v_p = sigma / gap
+    v_p = sigma / (alpha - solve_A(alpha))
     consts = correction_constants(alpha, nodes=n_nodes)
     rows = []
     for eps in eps_seq:
@@ -697,23 +698,26 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
                                     deviation=0.0, slope=math.nan,
                                     converged=True))
             continue
-        v_g0, m_o0 = variance_warm_start(alpha, sigma, eps, v_p, consts)
+        v_g0, m_o0 = variance_warm_start(sigma, eps, v_p, consts)
         try:
             x, _ = _damped_newton(
                 lambda x: _inverse_residual(x, eps, alpha, sigma, n_nodes),
                 (math.log(v_g0), math.log(m_o0)), 1e-13)
-            v_g, m_o = math.exp(x[0]), math.exp(x[1])
-            deviation = abs(v_g - (1.0 - consts.b * eps) * v_p)
-            slope = (v_p - v_g) / (eps * v_p)
-            rows.append(VarianceRow(epsilon=eps, v_g=v_g, m_o=m_o,
-                                    deviation=deviation, slope=slope,
-                                    converged=True))
         except NonConvergenceError:
             rows.append(VarianceRow(epsilon=eps, v_g=math.nan, m_o=math.nan,
                                     deviation=math.nan, slope=math.nan,
                                     converged=False))
-    return VarianceReport(alpha=alpha, sigma=sigma, v_p=v_p, b=consts.b,
-                          rows=tuple(rows))
+            continue
+        v_g, m_o = math.exp(x[0]), math.exp(x[1])
+        try:
+            deviation = abs(v_g - corrected_variance(v_p, alpha, eps, consts))
+        except ValueError:
+            deviation = math.nan
+        rows.append(VarianceRow(epsilon=eps, v_g=v_g, m_o=m_o,
+                                deviation=deviation,
+                                slope=(v_p - v_g) / (eps * v_p),
+                                converged=True))
+    return VarianceReport(v_p=v_p, b=consts.b, rows=tuple(rows))
 
 
 def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
@@ -748,8 +752,6 @@ class MeanRow:
 
 @dataclass(frozen=True)
 class MeanReport:
-    alpha: float
-    sigma: float
     rows: tuple
 
     def power_ratios(self, k):
@@ -788,7 +790,7 @@ def verify_mean_exponential(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
         rows.append(MeanRow(epsilon=vr.epsilon, v_g=vr.v_g, m_o=vr.m_o,
                             m_p=m_p, deviation=abs(m_p),
                             converged=not math.isnan(m_p)))
-    return MeanReport(alpha=alpha, sigma=sigma, rows=tuple(rows))
+    return MeanReport(rows=tuple(rows))
 
 
 def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,

@@ -169,7 +169,6 @@ class CorrectionConstants:
     b0: float
     b1: float
     b: float
-    alpha: float
 
 
 def correction_constants(alpha: float,
@@ -190,7 +189,7 @@ def correction_constants(alpha: float,
     b = 2.0 * alpha / ((2.0 * alpha + 1.0) * weighted_square_mean(s))
     b0 = -mean_log - delta_psi(alpha)
     b1 = mean_log + b / (2.0 * alpha + 1.0)
-    return CorrectionConstants(b0=b0, b1=b1, b=b, alpha=alpha)
+    return CorrectionConstants(b0=b0, b1=b1, b=b)
 
 
 def corrected_variance(v_p, alpha: float, epsilon: float,

@@ -125,8 +125,6 @@ def rational_mean_complement(s: float) -> float:
     E[y^2/(s + y^2)] = 1 - R(s).  Monotone increasing from 0 to 1."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
     return math.sqrt(0.5 * math.pi * s) * float(erfcx(math.sqrt(0.5 * s)))
 
 
@@ -135,8 +133,6 @@ def weighted_square_mean(s: float) -> float:
     equals (R(s)*(1+s) - s)/2 exactly."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
     r = rational_mean_complement(s)
     return 0.5 * (r * (1.0 + s) - s)
 
@@ -267,12 +263,7 @@ class AlphaTable:
         return out
 
 
-_TABLE: AlphaTable | None = None
-
-
+@lru_cache(maxsize=None)
 def alpha_table() -> AlphaTable:
     """Shared lazily-built table (immutable, safe to share across threads)."""
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = AlphaTable.build()
-    return _TABLE
+    return AlphaTable.build()

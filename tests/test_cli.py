@@ -265,6 +265,33 @@ class TestDynamics:
         assert cli.main(argv) == 2
         assert "--nodes" in capsys.readouterr().err
 
+    def test_equilibrium_with_uniform_outliers(self, capsys):
+        assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
+                         "--uniform-outliers=-4,16"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
+        assert max(payload["residuals"]) < 1e-9
+
+    # argv after "dynamics" -> the mixture field its error must name
+    UNREPRESENTABLE = {
+        "equilibrium --epsilon 0.04 --m-g 1e300": "m_g",
+        "sweep --eps 0.04 --gaussian-outliers 5,1e300": "v_o",
+        "simulate --epsilon 0 --m-g 1e300": "m_g",
+        "equilibrium --epsilon 0.04 --v-g inf": "v_g",
+        "equilibrium --epsilon 0.04 --gaussian-outliers inf,1": "m_o",
+        "simulate --epsilon 0.05 --v-g 1e300": "v_g",
+    }
+
+    @pytest.mark.parametrize("argv", UNREPRESENTABLE)
+    def test_unrepresentable_mixture_is_usage_error(self, tmp_path, capsys,
+                                                    argv):
+        out = tmp_path / "out"
+        assert cli.main(["dynamics", *argv.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {self.UNREPRESENTABLE[argv]} must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_equilibrium_refuses_epsilon_zero(self, capsys):
         assert cli.main(["dynamics", "equilibrium", "--epsilon", "0"]) == 4
         assert "refused" in capsys.readouterr().err
@@ -413,9 +440,33 @@ class TestBench:
         assert vals["gcp"] < vals["baseline"] * 1.3
         assert vals["baseline"] < vals["gcp"] * 1.3
 
+    def test_outlier_prob_is_honoured(self, tmp_path):
+        argv = ["bench", "synthetic", "--epochs", "2", "--n", "40",
+                "--test-n", "20", "--fractions", "0", "--repeats", "1"]
+        runs = {}
+        for name, extra in (("default", []), ("wild", ["--outlier-prob", "0.3"])):
+            out = tmp_path / name
+            assert cli.main(argv + extra + ["--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs[name] = (manifest["config"]["outlier_prob"],
+                          (out / "bench.csv").read_bytes())
+        assert runs["default"][0] == 0.0 and runs["wild"][0] == 0.3
+        assert runs["default"][1] != runs["wild"][1]
+
     def test_bad_fraction_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "synthetic", "--fractions", "0,1.5",
                          "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["solve-a", "--grid", "0.01:100:7"], "solve_a.csv"),
+    (["dynamics", "sweep", "--eps", "0.04,0.02"], "sweep.csv"),
+])
+def test_printed_rows_equal_written_csv(tmp_path, capsys, argv, name):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    printed = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    header, rows = read_csv(tmp_path / name)
+    assert printed == [header] + rows
 
 
 def test_parser_is_built_once(monkeypatch):

@@ -44,6 +44,13 @@ class TestContaminationSpec:
             spec_at(0.1, outlier=("cauchy", 0.0, 1.0))
         with pytest.raises(dyn.ConditionError):
             spec_at(0.1, outlier=("standardized", "uniform", 0.0, 1.0))
+        big = dyn.MIXTURE_LIMIT
+        spec_at(0.1, m_g=-big, v_g=big, outlier=("uniform", -big, big))
+        for kw in ({"m_g": 2 * big}, {"v_g": math.inf},
+                   {"outlier": ("gaussian", math.nan, 1.0)},
+                   {"outlier": ("uniform", 0.0, 2 * big)}):
+            with pytest.raises(dyn.ConditionError, match="must be finite"):
+                spec_at(0.1, **kw)
 
     def test_mixture_mean_variance(self):
         mean, var = dyn.mixture_mean_variance(spec_at(0.1))
@@ -310,6 +317,23 @@ class TestIntegrate:
         assert calls[0] == traj.evaluations
         assert traj.evaluations == 10 * (accepted + traj.rejected) + accepted + 1
 
+    def test_positivity_rejection_shrinks_the_step(self, monkeypatch):
+        # from alpha = 1e-6 the first trial steps leave the positive orthant
+        finite_rates, refused = dyn._finite_rates, []
+
+        def counting(k):
+            if k is None:
+                refused.append(k)
+            return finite_rates(k)
+
+        monkeypatch.setattr(dyn, "_finite_rates", counting)
+        traj = dyn.integrate(dyn.GcpParams(m=0.0, nu=1.0, alpha=1e-6, beta=0.5),
+                             spec_at(0.05), t_end=5.0)
+        assert refused and traj.rejected >= 1
+        assert not traj.truncated and traj.t[-1] == 5.0
+        for values in (traj.nu, traj.alpha, traj.beta):
+            assert np.all(values > 0)
+
     def test_step_budget_marks_truncation(self):
         s = spec_at(0.1)
         start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
@@ -407,6 +431,26 @@ class TestEquilibrium:
             np.testing.assert_allclose(eq.alpha, alpha, rtol=2e-6)
             np.testing.assert_allclose(eq.sigma, sigma, rtol=2e-6)
             assert eq.converged
+
+    def test_sweep_falls_back_to_asymptotic_start(self, monkeypatch):
+        eps = (0.04, 0.02, 0.01)
+        want = dyn.equilibrium_sweep(eps)
+        newton, guesses = dyn.newton_equilibrium, []
+
+        def first_continuation_fails(spec, guess, nodes=None):
+            guesses.append(guess)
+            # call 1 is the cold start, call 2 the first continuation
+            if len(guesses) == 2:
+                raise dyn.NonConvergenceError("continuation start failed")
+            return newton(spec, guess, nodes=nodes)
+
+        monkeypatch.setattr(dyn, "newton_equilibrium", first_continuation_fails)
+        got = dyn.equilibrium_sweep(eps)
+        assert guesses[2] == dyn.asymptotic_guess(spec_at(0.02))
+        for (e_want, a), (e_got, b) in zip(want, got):
+            assert e_got == e_want
+            np.testing.assert_allclose([b.m, b.alpha, b.sigma],
+                                       [a.m, a.alpha, a.sigma], rtol=1e-9)
 
     def test_alpha_grows_and_gap_shrinks_along_sweep(self):
         rows = dyn.equilibrium_sweep([0.04, 0.02, 0.01, 0.005])
@@ -561,6 +605,16 @@ class TestVarianceVerification:
             fd[:, j] = (residual(x + step) - residual(x - step)) / 2e-5
         np.testing.assert_allclose(jac, fd, rtol=1e-6)
 
+    def test_deviation_is_nan_past_the_correction_range(self):
+        # b(2) eps = 1.29 at eps = 0.2: the law (1 - b eps) v_p is negative
+        rep = dyn.verify_variance_correction(alpha=2.0, sigma=2.0,
+                                             eps_seq=(0.2,))
+        (row,) = rep.rows
+        assert rep.b * row.epsilon > 1.0
+        assert row.converged and math.isnan(row.deviation)
+        np.testing.assert_allclose(row.v_g, 0.668, rtol=1e-3)
+        assert row.slope == (rep.v_p - row.v_g) / (0.2 * rep.v_p)
+
     def test_other_alpha_sigma_pair(self):
         rep = dyn.verify_variance_correction(alpha=3.0, sigma=1.0,
                                              eps_seq=(0.002, 0.001))
@@ -597,6 +651,13 @@ class TestMeanVerification:
         assert math.isnan(row.m_p) and math.isnan(row.deviation)
         np.testing.assert_allclose(row.v_g, FROZEN_VG[3], atol=2e-8)
         assert clean.converged and clean.m_p == 0.0
+
+    def test_unconverged_inverse_row_carries_into_mean_report(self):
+        rep = dyn.verify_mean_exponential(alpha=6.0, sigma=1.0,
+                                          eps_seq=(0.07,))
+        (row,) = rep.rows
+        assert not row.converged
+        assert math.isnan(row.m_p) and math.isnan(row.v_g)
 
     def test_symmetric_mixture_mean_root_is_exact(self):
         s = spec_at(0.3, outlier=("uniform", -2.0, 2.0))

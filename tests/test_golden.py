@@ -11,6 +11,7 @@ regenerates the file with
 and says so in CHANGES.md.
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -81,6 +82,23 @@ def test_artifacts_match_golden_digests(name, tmp_path, capsys):
 
 def test_golden_file_covers_every_invocation():
     assert sorted(load_golden()["digests"]) == sorted(INVOCATIONS)
+
+
+def leaf_commands(parser, prefix=()):
+    """Command paths such as ("dynamics", "sweep") that the parser accepts."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in leaf_commands(sub, prefix + (name,))]
+
+
+def test_every_command_has_an_invocation():
+    leaves = leaf_commands(cli._build_parser())
+    covered = {leaf for leaf in leaves for argv in INVOCATIONS.values()
+               if tuple(argv[:len(leaf)]) == leaf}
+    assert len(leaves) > 1 and covered == set(leaves)
 
 
 def main(root):
