@@ -21,10 +21,8 @@ import numpy as np
 
 from . import data as dat
 from . import metrics as met
-from . import net
-from .gcp import GcpParams
 from .special import (ConditionError, NonConvergenceError, NumericError,
-                      a_equation_residual, solve_A)
+                      TrainingDiverged, a_equation_residual, solve_A)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,7 +129,7 @@ def _parse_floats(text, name, count=None):
 
 
 def _parse_range(text, name):
-    """lo:hi:n grid syntax, geometric when both ends are positive."""
+    """lo:hi:n syntax for a geometric grid of positive values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{name} expects lo:hi:n, got {text!r}")
@@ -139,11 +137,9 @@ def _parse_range(text, name):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"{name} expects lo:hi:n, got {text!r}")
-    if n < 1 or not -math.inf < lo < hi < math.inf:
-        raise UsageError(f"{name} needs finite lo < hi and n >= 1")
-    if lo > 0:
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if n < 1 or not 0.0 < lo < hi < math.inf:
+        raise UsageError(f"{name} needs finite 0 < lo < hi and n >= 1")
+    return np.geomspace(lo, hi, n)
 
 
 def _contamination_spec(args, epsilon):
@@ -283,6 +279,10 @@ def _prepare_splits(source, resolved):
 
 
 def _fit_model(train_norm, resolved, model_kind):
+    # net, and scipy.special with it, is imported by train and bench only,
+    # to keep the other commands' start-up short
+    from . import net
+
     cfg = net.TrainConfig(learning_rate=resolved["learning_rate"],
                           epochs=int(resolved["epochs"]),
                           batch_size=int(resolved["batch_size"]),
@@ -304,6 +304,8 @@ def _fit_model(train_norm, resolved, model_kind):
 
 def _predict_original_scale(model, model_kind, test_norm, stats):
     """Per-sample (mean, v_p, v_st, alpha) mapped back to the target scale."""
+    from . import net
+
     x = test_norm.features
     if model_kind == "baseline":
         mean_n, var_n = model.predict_arrays(x)
@@ -324,6 +326,8 @@ def _feature_hashes(features):
 
 
 def cmd_train(args):
+    from . import net
+
     resolved = _resolve_train_config(args)
     model_kind = ("ensemble" if args.ensemble
                   else "baseline" if args.baseline else "gcp")
@@ -369,7 +373,7 @@ def cmd_dynamics_simulate(args):
               "not settle at a finite equilibrium", file=sys.stderr)
     if args.state is not None:
         # a non-finite or non-positive field is a usage error (exit 2)
-        state = GcpParams(*_parse_floats(args.state, "--state", 4))
+        state = dyn.GcpParams(*_parse_floats(args.state, "--state", 4))
     else:
         state = dyn.default_state(spec)
     traj = dyn.integrate(state, spec, t_end=args.t_end, nodes=args.nodes,
@@ -684,8 +688,7 @@ def main(argv=None):
     except ConditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NonConvergenceError, NumericError,
-            net.TrainingDiverged) as exc:
+    except (NonConvergenceError, NumericError, TrainingDiverged) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .special import (
     ConditionError,
     NonConvergenceError,
     NumericError,
     delta_psi,
+    delta_trigamma,
     hermite_rule,
     legendre_rule,
     solve_A,
@@ -230,8 +230,7 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     g += delta_psi(alpha)
     finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
     if jacobian:
-        # the Hurwitz zeta(2, x) is the trigamma function psi'(x)
-        jac[1, 1] = alpha * float(zeta(2, alpha) - zeta(2, alpha + 0.5))
+        jac[1, 1] = alpha * delta_trigamma(alpha)
         finite = finite and bool(np.isfinite(jac).all())
     if not finite:
         raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi
 
 from .special import (alpha_table, delta_psi, gauss_weighted_integral,
                       hermite_rule, solve_A, weighted_square_mean)
@@ -77,6 +76,8 @@ def kl_loss(params: GcpParams, fixed: GcpParams, y: float) -> float:
     gradient in (m, nu, alpha, beta) at params == fixed coincides with the
     student_nll gradient, so minimizing either drives the same dynamics.
     """
+    import scipy.special as sc
+
     post = posterior_update(fixed, y)
     m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
     mp, nup, alphap, betap = post.m, post.nu, post.alpha, post.beta
@@ -87,7 +88,7 @@ def kl_loss(params: GcpParams, fixed: GcpParams, y: float) -> float:
         - 0.5
         - alpha * math.log(beta / betap)
         + math.lgamma(alpha) - math.lgamma(alphap)
-        - (alpha - alphap) * float(psi(alphap))
+        - (alpha - alphap) * float(sc.psi(alphap))
         + alphap * (beta - betap) / betap
     )
 
@@ -95,12 +96,14 @@ def kl_loss(params: GcpParams, fixed: GcpParams, y: float) -> float:
 def kl_grad(params: GcpParams, fixed: GcpParams, y: float):
     """Analytic gradient of kl_loss in (m, nu, alpha, beta), posterior held
     fixed (it is a function of `fixed` and y, not of `params`)."""
+    import scipy.special as sc
+
     post = posterior_update(fixed, y)
     m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
     mp, nup, alphap, betap = post.m, post.nu, post.alpha, post.beta
     dm = alphap * nu * (m - mp) / betap
     dnu = alphap * (m - mp) ** 2 / (2.0 * betap) + 0.5 / nup - 0.5 / nu
-    dalpha = -math.log(beta / betap) + float(psi(alpha) - psi(alphap))
+    dalpha = -math.log(beta / betap) + float(sc.psi(alpha) - sc.psi(alphap))
     dbeta = -alpha / beta + alphap / betap
     return dm, dnu, dalpha, dbeta
 
@@ -115,17 +118,21 @@ def nll_terms_arrays(m, nu, alpha, beta, y):
         lnG(a) - lnG(a+1/2) + ln(2*pi)/2 + ln(sigma)/2
             + (a+1/2) * ln(1 + (y-m)^2/(2*sigma)).
     """
+    # imported here, as in kl_loss and kl_grad, so that only the commands
+    # that train load scipy; the module form costs 0.5 us a call
+    import scipy.special as sc
+
     sigma = beta * (nu + 1.0) / nu
     z = y - m
     den = 2.0 * sigma + z * z
     core = (alpha * z * z - sigma) / den
     log_term = np.log1p(z * z / (2.0 * sigma))
-    nll = (gammaln(alpha) - gammaln(alpha + 0.5)
+    nll = (sc.gammaln(alpha) - sc.gammaln(alpha + 0.5)
            + 0.5 * LOG_2PI + 0.5 * np.log(sigma)
            + (alpha + 0.5) * log_term)
     dm = -(2.0 * alpha + 1.0) * z / den
     dnu = core / (nu * (nu + 1.0))
-    dalpha = psi(alpha) - psi(alpha + 0.5) + log_term
+    dalpha = sc.psi(alpha) - sc.psi(alpha + 0.5) + log_term
     dbeta = -core / beta
     return nll, dm, dnu, dalpha, dbeta
 

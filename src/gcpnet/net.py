@@ -21,6 +21,7 @@ from scipy.special import expit
 
 from .gcp import (LOG_2PI, STUDENT_VARIANCE_INFINITE, nll_terms_arrays,
                   prognostic_variances)
+from .special import TrainingDiverged
 
 POSITIVE_FLOOR = 1e-6
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -36,16 +37,6 @@ def softplus(x):
 
 def softplus_grad(x):
     return expit(x)
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite mid-training."""
-
-    def __init__(self, epoch, batch, sample_index, message):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-        self.sample_index = sample_index
 
 
 class MlpHead:

@@ -50,6 +50,12 @@ class TestSolveA:
         assert cli.main(["solve-a", *flags]) == 2
         assert "nan" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid", ["0:10:3", "1:10", "1:x:3"])
+    def test_malformed_grid_is_usage_error(self, capsys, grid):
+        assert cli.main(["solve-a", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "Traceback" not in err
+
     def test_alpha_and_grid_together_rejected(self):
         assert cli.main(["solve-a", "--alpha", "1", "--grid", "1:2:3"]) == 2
 
@@ -345,6 +351,21 @@ class TestDynamics:
                          flag, "1:inf:2", "--out", str(tmp_path)]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_field_nonpositive_range_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["dynamics", "field", "--epsilon", "0.05",
+                         "--alpha-range=-1:5:3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha-range" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--nodes", "7"], ["--nodes", "3", "--uniform-outliers=-4,16"]])
+    def test_odd_and_one_node_rules_end_typed(self, capsys, flags):
+        # odd Hermite orders (7, and 14 to certify) and the one-node
+        # Legendre rule are too coarse for a root; Newton reports it
+        assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
+                         *flags]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_simulate_writes_trajectory(self, tmp_path):
         assert cli.main(["dynamics", "simulate", "--epsilon", "0.05",
                          "--t-end", "30", "--out", str(tmp_path)]) == 0
@@ -487,15 +508,38 @@ def test_parser_is_built_once(monkeypatch):
     assert progs.count("gcpnet") == 1
 
 
-def test_cli_import_skips_heavy_modules():
-    # every command pays the import of gcpnet.cli; scipy.interpolate (and
-    # the scipy.optimize it imports) and dynamics would add about 0.3 s
+def test_cli_import_skips_heavy_modules(tmp_path):
+    # every command pays the import of gcpnet.cli, and dynamics would add
+    # to it; scipy.special alone costs about 0.2 s, so only the commands
+    # that train (through gcpnet.net) may load any of scipy
     src = str(pathlib.Path(gcpnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, gcpnet.cli\n"
-             "print(' '.join(m for m in ('scipy.interpolate', "
-             "'scipy.optimize', 'gcpnet.dynamics') if m in sys.modules))")
+    probe = f"""
+import contextlib, io, sys
+import gcpnet.cli as cli
+from gcpnet.special import alpha_table
+
+def loaded(prefixes):
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+print(loaded(["scipy", "gcpnet.dynamics", "gcpnet.net"]))
+alpha_table()
+print(loaded(["scipy", "gcpnet.net"]))
+for argv in (["solve-a", "--alpha", "2"],
+             ["dynamics", "equilibrium", "--epsilon", "0.04"],
+             ["dynamics", "sweep", "--eps", "0.04,0.02",
+              "--uniform-outliers=-4,16", "--out", {str(tmp_path / "s")!r}],
+             ["dynamics", "simulate", "--epsilon", "0.05", "--t-end", "5",
+              "--out", {str(tmp_path / "t")!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[:2], code, loaded(["scipy", "gcpnet.net"]))
+"""
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == ""
+    lines = done.stdout.strip().splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert all(line.endswith(" 0 []") for line in lines[2:]), lines
+    assert len(lines) == 6

@@ -1,5 +1,6 @@
-"""Tests for the scalar special-function layer: the digamma gap, quadrature
-rules, the A-function solver, and its interpolation table."""
+"""Tests for the scalar special-function layer: erfcx, the digamma and
+trigamma gaps, quadrature rules, the A-function solver, and its
+interpolation table.  scipy and mpmath serve as references only."""
 
 import math
 
@@ -43,10 +44,35 @@ class TestDigamma:
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sp.delta_psi(0.0)
-        with pytest.raises(ValueError):
-            sp.delta_psi(-1.0)
+        for gap in (sp.delta_psi, sp.delta_trigamma):
+            with pytest.raises(ValueError):
+                gap(0.0)
+            with pytest.raises(ValueError):
+                gap(-1.0)
+
+    def test_trigamma_gap_matches_high_precision(self):
+        # both sides of x = 20, where the recurrence hands over to the tail
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in np.concatenate([np.geomspace(1e-3, 1e4, 57), [19.5, 20.0]]):
+            exact = (mpmath.psi(1, mpmath.mpf(x))
+                     - mpmath.psi(1, mpmath.mpf(x) + 0.5))
+            np.testing.assert_allclose(sp.delta_trigamma(float(x)),
+                                       float(exact), rtol=1e-14)
+
+
+class TestErfcx:
+    def test_matches_high_precision(self):
+        # every one of Cody's three ranges and both of their boundaries
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        xs = np.concatenate([np.linspace(0.0, 50.0, 2001),
+                             [0.46875, np.nextafter(0.46875, 1.0), 4.0,
+                              np.nextafter(4.0, 5.0), 1e3, 1e8]])
+        for x in map(float, xs):
+            exact = float(mpmath.exp(mpmath.mpf(x) ** 2)
+                          * mpmath.erfc(mpmath.mpf(x)))
+            assert abs(sp.erfcx(x) - exact) <= 6 * math.ulp(exact), x
 
 
 class TestQuadratureRules:
@@ -58,7 +84,7 @@ class TestQuadratureRules:
         np.testing.assert_allclose(r.weights @ r.nodes**2, 1.0, rtol=1e-13)
         np.testing.assert_allclose(r.weights @ r.nodes**4, 3.0, rtol=1e-12)
 
-    @pytest.mark.parametrize("n", [64, 128, 512, 1024])
+    @pytest.mark.parametrize("n", [64, 128, 512, 1024, 1, 2, 3, 4, 5, 7, 16])
     def test_hermite_nodes_are_exactly_antisymmetric(self, n):
         # dynamics reads the mirror node's denominator off the reversed
         # array, which is exact only if node n-1-i is minus node i
@@ -77,9 +103,100 @@ class TestQuadratureRules:
         np.testing.assert_allclose(r.weights @ r.nodes**3,
                                    (hi**4 - lo**4) / 4.0, rtol=1e-13)
 
+    def test_hermite_requires_a_node(self):
+        with pytest.raises(ValueError):
+            sp.hermite_rule(0)
+
     def test_legendre_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
             sp.legendre_rule(8, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 16, 128, 512, 1024])
+    def test_hermite_matches_high_precision(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        r = sp.hermite_rule(n)
+        assert np.all(np.diff(r.nodes) > 0)
+        _assert_samples_match(r, _mp_hermite, n, mpmath)
+        np.testing.assert_allclose(r.weights.sum(), 1.0, rtol=0, atol=1e-14)
+        # E[y^2k] = (2k-1)!!; past 2k = 80 the moments sit on nodes whose
+        # weights underflow at n = 1024
+        for k in range(min(n, 40)):
+            np.testing.assert_allclose(r.weights @ r.nodes ** (2 * k),
+                                       float(math.prod(range(1, 2 * k, 2))),
+                                       rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256, 512])
+    def test_legendre_matches_high_precision(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        r = sp.legendre_rule(n, -1.0, 1.0)
+        np.testing.assert_array_equal(r.nodes, -r.nodes[::-1])
+        assert np.all(np.diff(r.nodes) > 0)
+        _assert_samples_match(r, _mp_legendre, n, mpmath)
+        np.testing.assert_allclose(r.weights.sum(), 2.0, rtol=1e-14)
+        for k in range(n):
+            np.testing.assert_allclose(r.weights @ r.nodes ** (2 * k),
+                                       2.0 / (2 * k + 1), rtol=1e-13)
+
+    def test_rules_report_nonconvergence(self, monkeypatch):
+        # one Newton pass is never enough from the asymptotic starts
+        monkeypatch.setattr(sp, "_RULE_NEWTON_CAP", 1)
+        with pytest.raises(sp.NumericError, match="Hermite"):
+            sp.hermite_rule.__wrapped__(64)
+        with pytest.raises(sp.NumericError, match="Legendre"):
+            sp.legendre_rule(64, -1.0, 1.0)
+
+
+def _mp_hermite(y, n, mpmath):
+    """The N(0,1) Gauss-Hermite node nearest y and its weight, by Newton on
+    H_n in mpmath; the weight is 2^(n-1) (n-1)! / (n H_{n-1}(x)^2)."""
+    x = mpmath.mpf(float(y)) / mpmath.sqrt(2)
+
+    def h_pair(x):
+        prev, cur = mpmath.mpf(1), 2 * x
+        for k in range(1, n):
+            prev, cur = cur, 2 * x * cur - 2 * k * prev
+        return cur, prev
+
+    for _ in range(3):
+        h_n, h_prev = h_pair(x)
+        x -= h_n / (2 * n * h_prev)
+    _, h_prev = h_pair(x)
+    return (x * mpmath.sqrt(2),
+            mpmath.mpf(2) ** (n - 1) * mpmath.factorial(n - 1)
+            / (n * h_prev ** 2))
+
+
+def _mp_legendre(x, n, mpmath):
+    """The Gauss-Legendre node nearest x and its weight 2/((1-x^2) P_n'^2),
+    by Newton on P_n in mpmath."""
+    x = mpmath.mpf(float(x))
+
+    def p_and_slope(x):
+        prev, cur = mpmath.mpf(1), x
+        for j in range(1, n):
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+        return cur, n * (prev - x * cur) / (1 - x * x)
+
+    for _ in range(3):
+        p, slope = p_and_slope(x)
+        x -= p / slope
+    _, slope = p_and_slope(x)
+    return x, 2 / ((1 - x * x) * slope ** 2)
+
+
+def _assert_samples_match(rule, reference, n, mpmath):
+    """Nodes within 1e-14 and weights above 1e-300 within 1e-12 relative of
+    a 40-digit reference, at the central nodes, the largest ones and the
+    largest ones whose weights do not underflow."""
+    upper = np.flatnonzero(rule.nodes >= 0.0)
+    kept = np.flatnonzero(rule.weights > 1e-300)
+    for i in sorted({*upper[:3], *upper[-2:], *kept[-2:]}):
+        node, weight = reference(rule.nodes[i], n, mpmath)
+        assert abs(rule.nodes[i] - node) <= 1e-14 * abs(node), (n, i)
+        if weight > 1e-300:
+            assert abs(rule.weights[i] - weight) <= 1e-12 * weight, (n, i)
 
 
 class TestRationalMeanComplement:
