@@ -364,9 +364,11 @@ def cmd_train(args):
 def cmd_dynamics_simulate(args):
     from . import dynamics as dyn
 
-    if not (math.isfinite(args.t_end) and args.t_end > 0.0):
-        raise UsageError(f"--t-end must be positive and finite, "
-                         f"got {args.t_end}")
+    for flag, value in (("--t-end", args.t_end),
+                        ("--settle-tol", args.settle_tol),
+                        ("--escape-bound", args.escape_bound)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"{flag} must be positive and finite, got {value}")
     spec = _contamination_spec(args, args.epsilon)
     if spec.epsilon > 0.0 and dyn.indicators(spec).c_go <= 0.0:
         print("warning: outlier indicator c_go <= 0; the trajectory may "
@@ -504,10 +506,12 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
 def cmd_bench(args):
     resolved = _resolve_train_config(args)
     fractions = _parse_floats(args.fractions, "--fractions")
-    for f in fractions:
+    for i, f in enumerate(fractions):
         if not 0.0 <= f < 1.0:
             raise UsageError(f"contamination fraction must lie in [0, 1), "
                              f"got {f}")
+        if f in fractions[:i]:
+            raise UsageError(f"--fractions lists {f} twice")
     repeats = args.repeats
     if repeats < 1:
         raise UsageError("--repeats must be at least 1")

@@ -122,17 +122,22 @@ def nll_terms_arrays(m, nu, alpha, beta, y):
     # that train load scipy; the module form costs 0.5 us a call
     import scipy.special as sc
 
-    sigma = beta * (nu + 1.0) / nu
+    nu1 = nu + 1.0
+    sigma = beta * nu1 / nu
     z = y - m
-    den = 2.0 * sigma + z * z
+    z2 = z * z
+    two_sigma = 2.0 * sigma
+    alpha_half = alpha + 0.5
+    den = two_sigma + z2
+    # (alpha * z) * z, not alpha * z2: the grouping fixes the rounding
     core = (alpha * z * z - sigma) / den
-    log_term = np.log1p(z * z / (2.0 * sigma))
-    nll = (sc.gammaln(alpha) - sc.gammaln(alpha + 0.5)
+    log_term = np.log1p(z2 / two_sigma)
+    nll = (sc.gammaln(alpha) - sc.gammaln(alpha_half)
            + 0.5 * LOG_2PI + 0.5 * np.log(sigma)
-           + (alpha + 0.5) * log_term)
+           + alpha_half * log_term)
     dm = -(2.0 * alpha + 1.0) * z / den
-    dnu = core / (nu * (nu + 1.0))
-    dalpha = sc.psi(alpha) - sc.psi(alpha + 0.5) + log_term
+    dnu = core / (nu * nu1)
+    dalpha = sc.psi(alpha) - sc.psi(alpha_half) + log_term
     dbeta = -core / beta
     return nll, dm, dnu, dalpha, dbeta
 

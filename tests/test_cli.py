@@ -401,6 +401,18 @@ class TestDynamics:
         assert "--t-end" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--settle-tol", "--escape-bound"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_simulate_rejects_bad_stop_threshold(self, tmp_path, capsys,
+                                                 flag, value):
+        # nan never settled (the run went on to --t-end) and -5 reported
+        # an escape after two steps; both now fail before integrating
+        assert cli.main(["dynamics", "simulate", "--epsilon", "0.05",
+                         "--t-end", "5", flag, value,
+                         "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     # --state value -> the field its error must name
     BAD_STATES = {"0,-1,2,1": "nu", "nan,1,1,1": "m", "1,1,1,inf": "beta"}
 
@@ -477,6 +489,17 @@ class TestBench:
     def test_bad_fraction_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "synthetic", "--fractions", "0,1.5",
                          "--out", str(tmp_path)]) == 2
+
+    def test_repeated_fraction_is_usage_error(self, tmp_path, capsys):
+        # a repeated fraction used to write each summary row twice, each
+        # claiming twice the repeats
+        out = tmp_path / "bench"
+        assert cli.main(["bench", "synthetic", "--epochs", "2", "--n", "40",
+                         "--fractions", "0.5,0.5", "--repeats", "1",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--fractions" in err and "0.5" in err
+        assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, name", [
