@@ -427,7 +427,7 @@ def cmd_dynamics_sweep(args):
     eps_values = _parse_floats(args.eps, "--eps")
     for eps in eps_values:
         if not 0.0 <= eps < 1.0:
-            raise UsageError(f"epsilon must lie in [0, 1), got {eps}")
+            raise UsageError(f"--eps values must lie in [0, 1), got {eps}")
     spec0 = _contamination_spec(args, max(eps_values))
     ind = dyn.check_condition(spec0)
     if min(eps_values) <= 0.0:

@@ -16,7 +16,7 @@ Jacobians, which gives up after 30 iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -431,8 +431,8 @@ class Equilibrium:
 
 
 def _admissible(x):
-    """The box in (m, ln alpha, ln sigma) where roots are sought; beyond it
-    the residuals fade along the escape channel toward infinity."""
+    """The box in (m - m_g, ln alpha, ln sigma) where roots are sought;
+    beyond it the residuals fade along the escape channel toward infinity."""
     m, la, ls = x
     return abs(la) <= math.log(ALPHA_CAP) and abs(ls) <= 60.0 and abs(m) <= 1e6
 
@@ -494,13 +494,19 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     """Newton solve from an explicit (m, alpha, sigma) guess, then certify
     the root by re-evaluating the integrals at twice the node count.
 
-    Newton runs over (m, ln alpha, ln sigma) with the analytic Jacobian.
-    Only iterates inside the admissible box are ever accepted, so no point
-    out on the escape channel is certified; a failed solve raises
-    NonConvergenceError.  The certificate also bounds the root's location
-    by the size of the Newton step |J^-1 r| at the doubled rule.
+    Newton runs over (m - m_g, ln alpha, ln sigma) with the analytic
+    Jacobian on the mixture translated to m_g = 0, so the admissible box,
+    the trust cap and the roundoff in m do not grow with |m_g|.  Only
+    iterates inside the box are ever accepted, so no point out on the
+    escape channel is certified; a failed solve raises NonConvergenceError.
+    The certificate also bounds the root's location by the size of the
+    Newton step |J^-1 r| at the doubled rule.
     """
     n_nodes = _dyn_nodes(nodes)
+    shift = spec.m_g
+    kind, a, b = spec.outlier
+    spec = replace(spec, m_g=0.0, outlier=(
+        kind, a - shift, b - shift if kind == "uniform" else b))
 
     def evaluate(x):
         if not _admissible(x):
@@ -512,7 +518,7 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     # trust caps keep iterates out of the flat residual valley that runs
     # toward alpha = infinity
     x, iters = _damped_newton(
-        evaluate, (guess[0], math.log(guess[1]), math.log(guess[2])),
+        evaluate, (guess[0] - shift, math.log(guess[1]), math.log(guess[2])),
         SOLVE_TOL, caps=lambda x: (0.5 * (1.0 + abs(x[0])), 0.7, 0.7))
     if not _admissible(x):
         raise NonConvergenceError(f"root outside the admissible region: {x}")
@@ -520,8 +526,9 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     res2, jac2 = fgh(m, alpha, sigma, spec, nodes=2 * n_nodes, jacobian=True)
     residuals = tuple(abs(v) for v in res2)
     converged = max(residuals) < CERT_TOL
-    eq = Equilibrium(m=m, alpha=alpha, sigma=sigma, residuals=residuals,
-                     converged=converged, nodes=n_nodes, iterations=iters,
+    eq = Equilibrium(m=m + shift, alpha=alpha, sigma=sigma,
+                     residuals=residuals, converged=converged, nodes=n_nodes,
+                     iterations=iters,
                      step_bound=float(np.max(np.abs(np.linalg.solve(jac2, res2)))))
     if not converged:
         raise NonConvergenceError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import (alpha_table, delta_psi, gauss_weighted_integral,
-                      hermite_rule, solve_A, weighted_square_mean)
+                      hermite_rule, log_gap_slope, solve_A)
 
 LOG_2PI = math.log(2.0 * math.pi)
 # Gauss-Hermite order of the log integral in correction_constants
@@ -189,19 +189,19 @@ def correction_constants(alpha: float,
 
     The constants are exactly sigma-free: every integrand depends on y only
     through y^2/s with s = 2*(alpha - A(alpha)).  The log integral uses the
-    shared Hermite rule; the normalizing integral of b uses the closed form
-    of weighted_square_mean, which stays exact for extreme alpha where a
-    fixed rule cannot resolve s.
+    shared Hermite rule.  b is 2*alpha + 1 times log_gap_slope, the slope
+    of the A table, whose closed form stays exact for extreme alpha where
+    a fixed rule cannot resolve s.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     s = 2.0 * (alpha - solve_A(alpha))
     rule = hermite_rule(nodes if nodes is not None else CORRECTION_NODES)
     mean_log = gauss_weighted_integral(lambda y: np.log1p(y * y / s), rule)
-    b = 2.0 * alpha / ((2.0 * alpha + 1.0) * weighted_square_mean(s))
-    b0 = -mean_log - delta_psi(alpha)
-    b1 = mean_log + b / (2.0 * alpha + 1.0)
-    return CorrectionConstants(b0=b0, b1=b1, b=b)
+    slope = log_gap_slope(alpha, s)
+    return CorrectionConstants(b0=-mean_log - delta_psi(alpha),
+                               b1=mean_log + slope,
+                               b=(2.0 * alpha + 1.0) * slope)
 
 
 def corrected_variance(v_p, alpha: float, epsilon: float,

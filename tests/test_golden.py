@@ -8,13 +8,15 @@ regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in CHANGES.md.
+which prints each invocation/file whose digest moved, and says so in
+CHANGES.md.
 """
 
 import argparse
 import hashlib
 import json
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -60,6 +62,11 @@ def run_digests(name, root):
             for path in sorted(out.iterdir())}
 
 
+def moved_files(got, want):
+    """Names of the files whose digest differs between two digest maps."""
+    return sorted(f for f in set(got) | set(want) if got.get(f) != want.get(f))
+
+
 def load_golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -70,8 +77,7 @@ def test_artifacts_match_golden_digests(name, tmp_path, capsys):
     want, got = golden["digests"][name], run_digests(name, tmp_path)
     capsys.readouterr()
     if got != want:
-        changed = sorted(f for f in set(got) | set(want)
-                         if got.get(f) != want.get(f))
+        changed = moved_files(got, want)
         note = ""
         if golden["versions"] != versions():
             note = (f"; digests were made with {golden['versions']}, this "
@@ -82,6 +88,19 @@ def test_artifacts_match_golden_digests(name, tmp_path, capsys):
 
 def test_golden_file_covers_every_invocation():
     assert sorted(load_golden()["digests"]) == sorted(INVOCATIONS)
+
+
+def test_regenerator_reports_moved_digests(tmp_path, monkeypatch):
+    golden = tmp_path / "digests.json"
+    golden.write_text(json.dumps({"digests": {
+        "a": {"x.csv": "1", "gone.txt": "2"}, "b": {"y.csv": "3"}}}))
+    fresh = {"a": {"x.csv": "1", "new.txt": "4"}, "b": {"y.csv": "5"}}
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "INVOCATIONS", dict.fromkeys(fresh))
+    monkeypatch.setattr(module, "run_digests", lambda name, root: fresh[name])
+    assert main(tmp_path) == ["a/gone.txt", "a/new.txt", "b/y.csv"]
+    assert json.loads(golden.read_text())["digests"] == fresh
 
 
 def leaf_commands(parser, prefix=()):
@@ -102,14 +121,21 @@ def test_every_command_has_an_invocation():
 
 
 def main(root):
-    doc = {"versions": versions(),
-           "invocations": INVOCATIONS,
-           "digests": {n: run_digests(n, root) for n in INVOCATIONS}}
+    """Rewrite the golden file; return the "invocation/file" entries whose
+    digest differs from the file it overwrites."""
+    old = load_golden()["digests"] if GOLDEN.exists() else {}
+    digests = {n: run_digests(n, root) for n in INVOCATIONS}
+    doc = {"versions": versions(), "invocations": INVOCATIONS,
+           "digests": digests}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
+    return [f"{name}/{f}" for name in sorted(digests)
+            for f in moved_files(digests[name], old.get(name, {}))]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        main(tmp)
+        moved = main(tmp)
+    print("\n".join(f"moved: {entry}" for entry in moved)
+          or "no digest moved")
