@@ -252,6 +252,8 @@ def _resolve_train_config(args):
         raise UsageError("members must be at least 1")
     if resolved["hidden"] < 1:
         raise UsageError("hidden must be at least 1")
+    if not 0.0 <= resolved["dropout"] < 1.0:
+        raise UsageError("dropout must lie in [0, 1)")
     return resolved
 
 
@@ -331,7 +333,6 @@ def cmd_train(args):
     resolved = _resolve_train_config(args)
     model_kind = ("ensemble" if args.ensemble
                   else "baseline" if args.baseline else "gcp")
-    out = _ensure_out(args)
     train_norm, test_norm, test_raw = _prepare_splits(args.data, resolved)
     model = _fit_model(train_norm, resolved, model_kind)
     stats = train_norm.normalization
@@ -339,6 +340,7 @@ def cmd_train(args):
         model, model_kind, test_norm, stats)
     curve = met.rejection_curve(mean, v_p, test_raw.targets)
 
+    out = _ensure_out(args)
     net.save_checkpoint(out / "checkpoint.json", model,
                         extra={"normalization": stats.to_json(),
                                "model": model_kind})

@@ -155,14 +155,15 @@ def normalize(ds: Dataset) -> Dataset:
     x, y = ds.features, ds.targets
     fstd = np.std(x, axis=0)
     keep = fstd > 0.0
-    if not np.all(keep):
+    if not keep.any():
+        raise ValueError("no informative feature columns: every one is "
+                         "constant")
+    if not keep.all():
         dropped = np.flatnonzero(~keep).tolist()
         warnings.warn(f"dropping zero-variance feature columns {dropped}",
                       stacklevel=2)
         x = x[:, keep]
         fstd = fstd[keep]
-        if x.shape[1] == 0:
-            raise ValueError("no informative feature columns remain")
     tstd = float(np.std(y))
     if tstd == 0.0:
         raise ValueError("target is constant; nothing to scale")
@@ -211,11 +212,14 @@ def load_csv(path) -> Dataset:
     """Read a headered CSV whose last column is the target.
 
     Cells must parse as decimal floats; a malformed cell or a ragged row
-    fails with the 1-based line number and column name in the message.
-    Blank trailing lines are ignored."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    fails with the 1-based line number and column name in the message,
+    and an unreadable file with its path.  Blank trailing lines are
+    ignored."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     rows = [(i + 1, row) for i, row in enumerate(rows)
             if any(cell.strip() for cell in row)]
     if not rows:

@@ -1,9 +1,11 @@
-"""Single-hidden-layer regression heads with manual backprop and Adam.
+"""Single-hidden-layer regression networks with manual backprop and Adam.
 
-Four independent ReLU MLP heads, stacked in one block whose weights share a
-flat buffer, predict the raw outputs; a shifted softplus maps the raw values
-for the precision-carrying outputs onto (0, inf).  The Gaussian baseline
-shares the same machinery with a mean head and a raw log-variance head.
+`MlpHead` is the one network class: a ReLU MLP per output head, stacked
+in one block whose weights share a flat buffer, with dropout, backprop
+and Adam.  `GcpNetwork` names four heads (m, nu, alpha, beta) and maps the
+raw precision-carrying outputs onto (0, inf) with a shifted softplus; the
+Gaussian baseline `GaussianNet` names a mean head and a raw log-variance
+head.  Each subclass adds only its predictions and its loss.
 Initial weights come only from the generator the caller passes, and Adam
 runs with fixed constants, so a seed pins a trained model bitwise.
 Everything is plain numpy so a trained model serializes losslessly to JSON.
@@ -41,18 +43,27 @@ def softplus_grad(x):
 
 
 class MlpHead:
-    """K scalar-output MLPs stacked in one block: x -> relu(x W1 + b1) W2 + b2.
+    """One network: a scalar-output MLP per name in HEAD_NAMES, stacked in
+    one block on a shared input: x -> relu(x W1 + b1) W2 + b2 per head.
 
     The parameters w1 (K, D, H), b1 (K, H), w2 (K, H) and b2 (K,) are views
     into one flat buffer; the gradients and the Adam moments are flat
     buffers of the same layout, so one vectorized update steps every head.
+    Subclasses name the heads and supply the link functions and the loss.
     """
 
-    def __init__(self, n_heads: int, in_dim: int, hidden: int,
-                 rng: np.random.Generator):
+    HEAD_NAMES = ()
+
+    def __init__(self, in_dim: int, hidden: int = 50, dropout: float = 0.0,
+                 *, rng: np.random.Generator):
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
         if in_dim < 1 or hidden < 1:
             raise ValueError("in_dim and hidden must be at least 1")
-        self.shape = (n_heads, in_dim, hidden)
+        self.in_dim = in_dim
+        self.hidden = hidden
+        self.dropout = dropout
+        n_heads = len(self.HEAD_NAMES)
         self.flat = np.zeros(n_heads * (in_dim * hidden + 2 * hidden + 1))
         self.grad = np.zeros_like(self.flat)
         self._adam_m = np.zeros_like(self.flat)
@@ -66,28 +77,45 @@ class MlpHead:
             self.w2[k] = rng.uniform(-0.01, 0.01, size=hidden)
 
     def _views(self, buf):
-        k, d, h = self.shape
+        k, d, h = len(self.HEAD_NAMES), self.in_dim, self.hidden
         w1, b1, w2, b2 = np.split(buf, np.cumsum([k * d * h, k * h, k * h]))
         return w1.reshape(k, d, h), b1.reshape(k, h), w2.reshape(k, h), b2
 
     def params(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def forward(self, x, mask=None):
-        """(K, B) outputs; `mask` is a pre-scaled (K, B, H) dropout mask."""
-        pre = x * self.w1 if x.shape[1] == 1 else x @ self.w1
+    def forward(self, x, train=False, rng=None):
+        """(K, B) raw head outputs plus the cache for backward; dropout only
+        when train=True.
+
+        Each head gets its own inverted-dropout mask, scaled by 1/keep; one
+        (K, B, H) draw from `rng` fills them in head order.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.in_dim:
+            raise ValueError(f"input has {x.shape[1]} columns, the network "
+                             f"expects {self.in_dim}")
+        mask = None
+        if train and self.dropout > 0.0:
+            if rng is None:
+                raise ValueError("training-mode forward with dropout needs "
+                                 "an rng")
+            keep = 1.0 - self.dropout
+            shape = (len(self.HEAD_NAMES), x.shape[0], self.hidden)
+            mask = (rng.random(shape) < keep) / keep
+        pre = x * self.w1 if self.in_dim == 1 else x @ self.w1
         pre += self.b1[:, None, :]
         h = np.maximum(pre, 0.0)
         if mask is not None:
             h *= mask
         out = (h @ self.w2[:, :, None])[:, :, 0]
         out += self.b2[:, None]
-        return out, (pre, h)
+        return out, (pre, h, mask)
 
-    def backward(self, x, cache, dout, mask=None):
-        """Fill `grad` with the gradient of sum(dout * out); `mask` must
-        match the forward pass."""
-        pre, h = cache
+    def backward(self, x, cache, dout):
+        """Fill `grad` with the gradient of sum(dout * out) for the forward
+        pass that returned `cache`."""
+        pre, h, mask = cache
         g = self.grads
         np.matmul(h.transpose(0, 2, 1), dout[:, :, None],
                   out=g["w2"][:, :, None])
@@ -102,7 +130,7 @@ class MlpHead:
     def finite_heads(self):
         """Per head, whether every entry of its gradient is finite."""
         return [all(np.isfinite(g[k]).all() for g in self.grads.values())
-                for k in range(self.shape[0])]
+                for k in range(len(self.HEAD_NAMES))]
 
     def adam_step(self, lr):
         """One bias-corrected Adam update of every head, applied in place."""
@@ -118,49 +146,14 @@ class MlpHead:
         self.flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-class HeadNetwork:
-    """One MlpHead block with a head per name in HEAD_NAMES, on a shared
-    input."""
-
-    HEAD_NAMES = ()
-
-    def __init__(self, in_dim: int, hidden: int = 50, dropout: float = 0.0,
-                 *, rng: np.random.Generator):
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        self.in_dim = in_dim
-        self.hidden = hidden
-        self.dropout = dropout
-        self.block = MlpHead(len(self.HEAD_NAMES), in_dim, hidden, rng)
-
-    def forward_raw(self, x, train=False, rng=None):
-        """(K, B) raw head outputs plus (cache, mask); dropout only when
-        train=True.
-
-        Each head gets its own inverted-dropout mask, scaled by 1/keep; one
-        (K, B, H) draw from `rng` fills them in head order.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mask = None
-        if train and self.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward with dropout needs "
-                                 "an rng")
-            keep = 1.0 - self.dropout
-            shape = (len(self.HEAD_NAMES), x.shape[0], self.hidden)
-            mask = (rng.random(shape) < keep) / keep
-        raw, cache = self.block.forward(x, mask)
-        return raw, (cache, mask)
-
-
-class GcpNetwork(HeadNetwork):
+class GcpNetwork(MlpHead):
     """Four-head network producing a normal-gamma belief per input."""
 
     HEAD_NAMES = ("m", "nu", "alpha", "beta")
 
     def predict_arrays(self, x):
         """Eval-mode belief parameters as four aligned arrays."""
-        raw, _ = self.forward_raw(x, train=False)
+        raw, _ = self.forward(x)
         nu, alpha, beta = softplus(raw[1:])
         return raw[0], nu, alpha, beta
 
@@ -178,14 +171,14 @@ class GcpNetwork(HeadNetwork):
         return nll, dout
 
 
-class GaussianNet(HeadNetwork):
+class GaussianNet(MlpHead):
     """Mean/log-variance baseline trained on the Gaussian NLL."""
 
     HEAD_NAMES = ("mean", "logvar")
 
     def predict_arrays(self, x):
         """Eval-mode (mean, variance) arrays."""
-        raw, _ = self.forward_raw(x, train=False)
+        raw, _ = self.forward(x)
         return raw[0], np.exp(raw[1])
 
     def loss_and_head_grads(self, raw, y):
@@ -245,7 +238,6 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
     n = x.shape[0]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     result = TrainResult()
-    block = model.block
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         xs, ys = x[order], y[order]
@@ -254,7 +246,7 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
             stop = start + config.batch_size
             idx = order[start:stop]
             xb, yb = xs[start:stop], ys[start:stop]
-            raw, (cache, mask) = model.forward_raw(xb, train=True, rng=rng)
+            raw, cache = model.forward(xb, train=True, rng=rng)
             nll, dout = model.loss_and_head_grads(raw, yb)
             if not np.isfinite(nll).all():
                 bad = int(idx[int(np.argmax(~np.isfinite(nll)))])
@@ -263,17 +255,17 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
                     f"non-finite loss at epoch {epoch}, batch {batch_no}, "
                     f"sample {bad}")
             dout *= 1.0 / len(idx)
-            block.backward(xb, cache, dout, mask)
-            if not np.isfinite(block.grad).all():
+            model.backward(xb, cache, dout)
+            if not np.isfinite(model.grad).all():
                 bad = int(idx[_blamed_column(dout)])
                 heads = [name for name, ok in zip(model.HEAD_NAMES,
-                                                  block.finite_heads())
+                                                  model.finite_heads())
                          if not ok]
                 raise TrainingDiverged(
                     epoch, batch_no, bad,
                     f"non-finite gradient in heads {heads} at epoch "
                     f"{epoch}, batch {batch_no}, sample {bad}")
-            block.adam_step(config.learning_rate)
+            model.adam_step(config.learning_rate)
             total += float(nll.sum())
         result.epoch_nll.append(total / n)
     return result
@@ -329,9 +321,12 @@ def ensemble_prognostic_arrays(ensemble: Ensemble, x):
     return mix_mean, mixture_variance(v_ps), v_st_mix, alphas.mean(axis=0)
 
 
+NETWORK_KINDS = {"gcp": GcpNetwork, "gaussian": GaussianNet}
+
+
 def _net_state(net):
     kind = "gcp" if isinstance(net, GcpNetwork) else "gaussian"
-    params = net.block.params()
+    params = net.params()
     return {
         "kind": kind, "in_dim": net.in_dim, "hidden": net.hidden,
         "dropout": net.dropout,
@@ -341,17 +336,32 @@ def _net_state(net):
     }
 
 
+def _checkpoint_field(state, key, types):
+    """state[key] if it has one of `types`; a bool is never a number."""
+    value = state.get(key) if isinstance(state, dict) else None
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"checkpoint field {key!r} is missing or mistyped")
+    return value
+
+
 def _net_from_state(state):
-    """Rebuild one network, checking every head tensor's shape against
-    (in_dim, hidden) and every value for finiteness."""
-    cls = GcpNetwork if state["kind"] == "gcp" else GaussianNet
-    net = cls(state["in_dim"], hidden=state["hidden"], dropout=state["dropout"],
-              rng=np.random.default_rng(0))
+    """Rebuild one network, checking its fields' types, every head tensor's
+    shape against (in_dim, hidden) and every value for finiteness."""
+    kind = _checkpoint_field(state, "kind", str)
+    if kind not in NETWORK_KINDS:
+        raise ValueError(f"checkpoint kind {kind!r} is unknown; expected "
+                         f"one of {sorted(NETWORK_KINDS)} or 'ensemble'")
+    net = NETWORK_KINDS[kind](
+        _checkpoint_field(state, "in_dim", int),
+        hidden=_checkpoint_field(state, "hidden", int),
+        dropout=_checkpoint_field(state, "dropout", (int, float)),
+        rng=np.random.default_rng(0))
+    heads = _checkpoint_field(state, "heads", dict)
     for k, name in enumerate(net.HEAD_NAMES):
-        head = state["heads"].get(name)
+        head = heads.get(name)
         if not isinstance(head, dict):
             raise ValueError(f"checkpoint head {name!r} is missing")
-        for key, target in net.block.params().items():
+        for key, target in net.params().items():
             where = f"checkpoint head {name!r} tensor {key!r}"
             try:
                 value = np.asarray(head[key], dtype=float)
@@ -385,7 +395,11 @@ def load_checkpoint(path):
     """Rebuild the model saved by save_checkpoint; returns (model, extra)."""
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
-    extra = state.get("extra")
-    if state["kind"] == "ensemble":
-        return Ensemble([_net_from_state(s) for s in state["members"]]), extra
-    return _net_from_state(state), extra
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint must hold a JSON object")
+    if state.get("kind") == "ensemble":
+        members = _checkpoint_field(state, "members", list)
+        model = Ensemble([_net_from_state(s) for s in members])
+    else:
+        model = _net_from_state(state)
+    return model, state.get("extra")

@@ -187,6 +187,19 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 8
         assert manifest["config"]["seed"] == 17
 
+    def test_config_floats_land_as_floats(self, tmp_path):
+        # a JSON integer for a float setting is widened, not kept an int
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": 0.002, "dropout": 0}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "synthetic", "--config", str(cfg),
+                         "--epochs", "1", "--n", "40", "--test-n", "20",
+                         "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert type(config["learning_rate"]) is float
+        assert config["learning_rate"] == 0.002
+        assert type(config["dropout"]) is float and config["dropout"] == 0.0
+
     def test_config_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"learning_rat": 1.0}))
@@ -530,6 +543,12 @@ USAGE_ERRORS = {
     "train synthetic --contamination 1.5": "contamination",
     "train synthetic --ensemble --members 0": "members",
     "bench synthetic --repeats 0": "--repeats",
+    "train synthetic --dropout 1": "dropout",
+    "bench synthetic --dropout -0.5": "dropout",
+    "train {tmp}/missing.csv": "missing.csv",
+    "bench {tmp}/missing.csv": "missing.csv",
+    "train {tmp}/header.csv": "no data rows",
+    "train {tmp}/constant.csv": "no informative feature",
 }
 
 
@@ -537,6 +556,8 @@ USAGE_ERRORS = {
 def test_usage_error_names_its_flag(tmp_path, capsys, argv):
     (tmp_path / "text.json").write_text("learning_rate = 0.1")
     (tmp_path / "nan.json").write_text('{"learning_rate": NaN}')
+    (tmp_path / "header.csv").write_text("x,y\n")
+    (tmp_path / "constant.csv").write_text("x,y\n1,2\n1,3\n1,5\n")
     out = tmp_path / "out"
     tokens = [tok.replace("{tmp}", str(tmp_path)) for tok in argv.split()]
     assert cli.main(tokens + ["--out", str(out)]) == 2
@@ -554,6 +575,12 @@ def test_printed_rows_equal_written_csv(tmp_path, capsys, argv, name):
     printed = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     header, rows = read_csv(tmp_path / name)
     assert printed == [header] + rows
+
+
+def test_dynamics_without_subcommand_prints_usage(capsys):
+    assert cli.main(["dynamics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: gcpnet") and captured.out == ""
 
 
 def test_parser_is_built_once(monkeypatch):

@@ -42,10 +42,17 @@ class TestSoftplus:
         np.testing.assert_allclose(nn.softplus_grad(xs), fd, atol=1e-9)
 
 
+def stacked(n_heads, in_dim, hidden, rng, dropout=0.0):
+    """An MlpHead network of `n_heads` anonymous heads."""
+    names = tuple(f"h{k}" for k in range(n_heads))
+    cls = type("Stacked", (nn.MlpHead,), {"HEAD_NAMES": names})
+    return cls(in_dim, hidden, dropout, rng=rng)
+
+
 class TestMlpHead:
     def test_initialization_layout(self):
         rng = np.random.default_rng(0)
-        head = nn.MlpHead(4, 3, 50, rng)
+        head = stacked(4, 3, 50, rng)
         lim = math.sqrt(6.0 / 3)
         assert head.w1.shape == (4, 3, 50)
         assert head.b1.shape == head.w2.shape == (4, 50)
@@ -59,7 +66,7 @@ class TestMlpHead:
 
     def test_initial_draws_follow_head_order(self):
         # w1 then w2 for each head in turn, as one head per object drew them
-        head = nn.MlpHead(3, 2, 5, np.random.default_rng(7))
+        head = stacked(3, 2, 5, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         lim = math.sqrt(6.0 / 2)
         for k in range(3):
@@ -70,9 +77,14 @@ class TestMlpHead:
 
     def test_rejects_empty_layers(self):
         with pytest.raises(ValueError):
-            nn.MlpHead(4, 2, 0, np.random.default_rng(0))
+            stacked(4, 2, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nn.MlpHead(4, 0, 5, np.random.default_rng(0))
+            stacked(4, 0, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0])
+    def test_rejects_dropout_outside_unit_interval(self, dropout):
+        with pytest.raises(ValueError, match="dropout"):
+            stacked(2, 2, 4, np.random.default_rng(0), dropout=dropout)
 
     @pytest.mark.parametrize("in_dim", [1, 4])
     def test_block_matches_per_head_loop(self, in_dim):
@@ -80,14 +92,17 @@ class TestMlpHead:
         # the block must reproduce it bitwise; in_dim 1 takes the broadcast
         # product in place of matmul, signed zeros included
         rng = np.random.default_rng(4)
-        head = nn.MlpHead(3, in_dim, 6, rng)
+        head = stacked(3, in_dim, 6, rng, dropout=0.3)
         x = rng.normal(size=(9, in_dim))
         x[2, 0], x[5, 0] = 0.0, -0.0
-        mask = (rng.random((3, 9, 6)) < 0.7) / 0.7
         dout = rng.normal(size=(3, 9))
         ref = {name: value.copy() for name, value in head.params().items()}
-        out, cache = head.forward(x, mask)
-        head.backward(x, cache, dout, mask)
+        out, cache = head.forward(x, train=True, rng=np.random.default_rng(8))
+        # one (K, B, H) draw, scaled by 1/keep, makes every head's mask
+        keep = 1.0 - 0.3
+        mask = (np.random.default_rng(8).random((3, 9, 6)) < keep) / keep
+        np.testing.assert_array_equal(cache[2], mask)
+        head.backward(x, cache, dout)
         head.adam_step(lr=1e-2)
         for k in range(3):
             w1, b1, w2, b2 = (ref[name][k] for name in nn.PARAM_NAMES)
@@ -109,7 +124,7 @@ class TestMlpHead:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        head = nn.MlpHead(3, 2, 7, rng)
+        head = stacked(3, 2, 7, rng)
         x = rng.normal(size=(5, 2))
         dout = rng.normal(size=(3, 5))
         out, cache = head.forward(x)
@@ -146,7 +161,7 @@ class TestMlpHead:
     def test_first_adam_step_is_signed_learning_rate(self):
         # with bias correction the first update is lr * g/(|g| + eps)
         rng = np.random.default_rng(2)
-        head = nn.MlpHead(2, 2, 4, rng)
+        head = stacked(2, 2, 4, rng)
         before = head.flat.copy()
         w2_before = head.w2.copy()
         head.grads["w2"][:] = 0.25
@@ -158,7 +173,7 @@ class TestMlpHead:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         rng = np.random.default_rng(3)
-        head = nn.MlpHead(2, 2, 4, rng)
+        head = stacked(2, 2, 4, rng)
         before = head.flat.copy()
         for _ in range(3):
             head.adam_step(lr=0.1)
@@ -182,27 +197,36 @@ class TestGcpNetwork:
     def test_eval_equals_train_without_dropout(self):
         netw = nn.GcpNetwork(1, hidden=10, rng=np.random.default_rng(1))
         x = np.array([[0.2], [-0.4]])
-        a, _ = netw.forward_raw(x, train=False)
-        b, _ = netw.forward_raw(x, train=True)
+        a, _ = netw.forward(x, train=False)
+        b, _ = netw.forward(x, train=True)
         assert a.shape == (len(netw.HEAD_NAMES), 2)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("in_dim, width", [(3, 1), (1, 3)])
+    def test_input_width_must_match(self, in_dim, width):
+        # a one-column input once broadcast against any in_dim
+        netw = nn.GcpNetwork(in_dim, hidden=4, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError,
+                           match=f"{width} columns, the network expects "
+                                 f"{in_dim}"):
+            netw.predict_arrays(np.full((2, width), 0.5))
 
     def test_train_mode_with_dropout_requires_rng(self):
         netw = nn.GcpNetwork(1, hidden=10, dropout=0.3,
                              rng=np.random.default_rng(2))
         with pytest.raises(ValueError):
-            netw.forward_raw(np.array([[0.1]]), train=True)
+            netw.forward(np.array([[0.1]]), train=True)
 
     def test_dropout_preserves_expectation(self):
         # inverted scaling keeps E[h] equal to the undropped activation
         rng = np.random.default_rng(3)
         netw = nn.GcpNetwork(1, hidden=20, dropout=0.4, rng=rng)
         x = np.array([[0.5]])
-        clean, _ = netw.forward_raw(x, train=False)
+        clean, _ = netw.forward(x, train=False)
         draws = np.empty(10000)
         drop_rng = np.random.default_rng(4)
         for i in range(draws.size):
-            raws, _ = netw.forward_raw(x, train=True, rng=drop_rng)
+            raws, _ = netw.forward(x, train=True, rng=drop_rng)
             draws[i] = raws[0, 0]
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - clean[0, 0]) < 3.0 * se + 1e-12
@@ -212,7 +236,7 @@ class TestGcpNetwork:
         netw = nn.GcpNetwork(2, hidden=6, rng=rng)
         x = rng.normal(size=(4, 2))
         y = rng.normal(size=4)
-        raws, _ = netw.forward_raw(x)
+        raws, _ = netw.forward(x)
         nll, head_grads = netw.loss_and_head_grads(raws, y)
         h = 1e-5
         for k in range(len(netw.HEAD_NAMES)):
@@ -234,16 +258,16 @@ class TestGcpNetwork:
         y = rng.normal(size=6)
 
         def batch_nll():
-            raws, _ = netw.forward_raw(x)
+            raws, _ = netw.forward(x)
             return float(np.mean(netw.loss_and_head_grads(raws, y)[0]))
 
-        raws, (cache, mask) = netw.forward_raw(x)
+        raws, cache = netw.forward(x)
         _, head_grads = netw.loss_and_head_grads(raws, y)
-        netw.block.backward(x, cache, head_grads / 6.0, mask)
-        grads = netw.block.grads["w1"].copy()
+        netw.backward(x, cache, head_grads / 6.0)
+        grads = netw.grads["w1"].copy()
         checked = 0
         for head in range(len(netw.HEAD_NAMES)):
-            w1 = netw.block.w1[head]
+            w1 = netw.w1[head]
             for k in rng.choice(w1.size, size=6, replace=False):
                 orig = w1.ravel()[k]
                 h = 1e-6 * max(1.0, abs(orig))
@@ -264,7 +288,7 @@ class TestGaussianNet:
         netw = nn.GaussianNet(1, hidden=8, rng=np.random.default_rng(0))
         x = np.array([[0.3]])
         y = np.array([0.7])
-        raws, _ = netw.forward_raw(x)
+        raws, _ = netw.forward(x)
         nll, _ = netw.loss_and_head_grads(raws, y)
         mean, logvar = raws[0, 0], raws[1, 0]
         ref = 0.5 * (math.log(2.0 * math.pi) + logvar
@@ -276,7 +300,7 @@ class TestGaussianNet:
         netw = nn.GaussianNet(1, hidden=8, rng=rng)
         x = rng.normal(size=(5, 1))
         y = rng.normal(size=5)
-        raws, _ = netw.forward_raw(x)
+        raws, _ = netw.forward(x)
         _, grads = netw.loss_and_head_grads(raws, y)
         h = 1e-6
         for k in range(len(netw.HEAD_NAMES)):
@@ -324,7 +348,7 @@ def _reference_train(model, x, y, config):
     step: a gathered copy per batch, matmul for every input width and a
     fresh array at each stage; Adam is the block's own."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    block, g = model.block, model.block.grads
+    block, g = model, model.grads
     n = len(y)
     epoch_nll = []
     for _ in range(config.epochs):
@@ -378,7 +402,7 @@ class TestTraining:
         trace = nn.train(nets[0], x, y, cfg).epoch_nll
         ref_trace = _reference_train(nets[1], x, y, cfg)
         assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
-        assert nets[0].block.flat.tobytes() == nets[1].block.flat.tobytes()
+        assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
 
     def test_same_seed_reproduces_bitwise(self):
         x, y = tiny_dataset()
@@ -389,7 +413,7 @@ class TestTraining:
                                  rng=np.random.Generator(np.random.PCG64(42)))
             nn.train(netw, x, y, cfg)
             nets.append(netw)
-        np.testing.assert_array_equal(nets[0].block.flat, nets[1].block.flat)
+        np.testing.assert_array_equal(nets[0].flat, nets[1].flat)
 
     def test_loss_decreases_on_learnable_data(self):
         x, y = tiny_dataset()
@@ -438,7 +462,7 @@ class TestTraining:
         # the w2 gradient of head m
         x, y = tiny_dataset(12)
         netw = nn.GcpNetwork(1, hidden=4, rng=np.random.default_rng(0))
-        netw.block.b1[0] = 1e4
+        netw.b1[0] = 1e4
         clean = netw.loss_and_head_grads
         largest = []
 
@@ -476,7 +500,7 @@ class TestEnsemble:
         ens, traces = nn.train_ensemble(1, x, y, cfg, n_members=3, hidden=6)
         assert all(isinstance(m, nn.GcpNetwork) for m in ens.members)
         assert len(traces) == 3
-        w = [m.block.w1[0] for m in ens.members]
+        w = [m.w1[0] for m in ens.members]
         assert not np.array_equal(w[0], w[1])
         assert not np.array_equal(w[1], w[2])
 
@@ -515,7 +539,7 @@ class TestCheckpoint:
         assert extra["note"] == "roundtrip"
         assert isinstance(loaded, nn.GcpNetwork)
         assert loaded.dropout == netw.dropout
-        np.testing.assert_array_equal(loaded.block.flat, netw.block.flat)
+        np.testing.assert_array_equal(loaded.flat, netw.flat)
 
     def test_ensemble_roundtrip(self, tmp_path):
         x, y = tiny_dataset(30)
@@ -538,21 +562,56 @@ class TestCheckpoint:
         nn.save_checkpoint(path, netw)
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
-        edit(state["heads"]["nu"])
+        edit(state)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(state, fh)
         return path
 
     def test_truncated_tensor_rejected(self, tmp_path):
-        path = self.corrupted(tmp_path, lambda head: head["w1"].pop())
+        path = self.corrupted(tmp_path,
+                              lambda state: state["heads"]["nu"]["w1"].pop())
         with pytest.raises(ValueError, match="head 'nu' tensor 'w1'"):
             nn.load_checkpoint(path)
 
     def test_nonfinite_entry_rejected(self, tmp_path):
-        def poison(head):
-            head["b1"][1] = math.nan
+        def poison(state):
+            state["heads"]["nu"]["b1"][1] = math.nan
         path = self.corrupted(tmp_path, poison)
         with pytest.raises(ValueError, match="head 'nu' tensor 'b1'"):
+            nn.load_checkpoint(path)
+
+    CORRUPTIONS = {
+        "non-numeric tensor": (lambda s: s["heads"]["nu"].__setitem__(
+            "w2", ["a", "b", "c"]), "head 'nu' tensor 'w2'"),
+        "missing head": (lambda s: s["heads"].pop("alpha"),
+                         "head 'alpha' is missing"),
+        "missing heads": (lambda s: s.pop("heads"), "field 'heads'"),
+        "missing kind": (lambda s: s.pop("kind"), "field 'kind'"),
+        "misspelt kind": (lambda s: s.__setitem__("kind", "gpc"),
+                          "kind 'gpc' is unknown"),
+        "string in_dim": (lambda s: s.__setitem__("in_dim", "2"),
+                          "field 'in_dim'"),
+        "null hidden": (lambda s: s.__setitem__("hidden", None),
+                        "field 'hidden'"),
+        "boolean hidden": (lambda s: s.__setitem__("hidden", True),
+                           "field 'hidden'"),
+        "string dropout": (lambda s: s.__setitem__("dropout", "0.1"),
+                           "field 'dropout'"),
+    }
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupted_checkpoint_names_its_field(self, tmp_path, case):
+        edit, match = self.CORRUPTIONS[case]
+        path = self.corrupted(tmp_path, edit)
+        with pytest.raises(ValueError, match=match):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("state", [[], {"kind": "ensemble"},
+                                       {"kind": "ensemble", "members": [3]}])
+    def test_malformed_top_level_rejected(self, tmp_path, state):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="checkpoint"):
             nn.load_checkpoint(path)
 
     def test_predictions_survive_roundtrip_exactly(self, tmp_path):

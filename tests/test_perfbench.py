@@ -22,23 +22,35 @@ def load_tracing():
 
 
 def test_full_tracer_installs_counts_and_uninstalls():
+    # the tracer patches forward, backward and adam_step on MlpHead; both
+    # network classes must reach them there, not through overrides
     tracing = load_tracing()
     originals = (net.train, net.MlpHead.adam_step, dynamics.fgh)
     recorder = tracing.Recorder(full=True).install()
+    x = np.linspace(-1.0, 1.0, 8).reshape(-1, 1)
+    config = net.TrainConfig(epochs=1, batch_size=4)
     try:
         assert net.train is not originals[0]
         model = net.GcpNetwork(1, hidden=3, rng=np.random.default_rng(0))
-        x = np.linspace(-1.0, 1.0, 8).reshape(-1, 1)
-        net.train(model, x, np.sin(x[:, 0]),
-                  net.TrainConfig(epochs=1, batch_size=4))
+        net.train(model, x, np.sin(x[:, 0]), config)
+        gcp_counts = recorder.counts()
+        baseline = net.GaussianNet(1, hidden=3, rng=np.random.default_rng(1))
+        net.train(baseline, x, np.sin(x[:, 0]), config)
+        baseline.predict_arrays(x)
     finally:
         recorder.uninstall()
     assert (net.train, net.MlpHead.adam_step, dynamics.fgh) == originals
     counts = recorder.counts()
-    # one fused forward, loss, backward and Adam update per batch
+    # one fused forward, loss, backward and Adam update per batch, two
+    # batches per fit; the second fit's losses are GaussianNet's
     for name in ("net.forward", "net.loss", "net.backward", "net.adam"):
-        assert counts[name][0] == 2
-    assert [s["steps"] for s in recorder.spans if s["name"] == "net.train"] == [2]
+        assert gcp_counts[name][0] == 2
+        assert counts[name][0] == 4
+    assert counts["net.forward.predict"][0] == 1
+    assert [s["steps"] for s in recorder.spans
+            if s["name"] == "net.train"] == [2, 2]
+    assert [s["rows"] for s in recorder.spans
+            if s["name"] == "net.predict"] == [8]
 
 
 def test_cold_equilibrium_is_one_newton_solve():
