@@ -254,6 +254,15 @@ def _resolve_train_config(args):
         raise UsageError("hidden must be at least 1")
     if not 0.0 <= resolved["dropout"] < 1.0:
         raise UsageError("dropout must lie in [0, 1)")
+    if not 0.0 < resolved["train_fraction"] < 1.0:
+        raise UsageError("train_fraction must lie in (0, 1)")
+    if not 0.0 < resolved["learning_rate"] < math.inf:
+        raise UsageError("learning_rate must be positive and finite")
+    if resolved["seed"] < 0:
+        raise UsageError("seed must be at least 0")
+    if resolved["test_n"] < 2:
+        raise UsageError("test_n must be at least 2: the rejection curve "
+                         "needs two test samples")
     return resolved
 
 
@@ -276,6 +285,11 @@ def _prepare_splits(source, resolved):
         train_raw = dat.contaminate(train_raw, resolved["contamination"],
                                     seed=seed)
     train_norm = dat.normalize(train_raw)
+    if test_raw.n < 2:
+        raise UsageError(
+            f"train_fraction {resolved['train_fraction']!r} leaves "
+            f"{test_raw.n} of {train_raw.n + test_raw.n} rows for testing; "
+            f"the rejection curve needs two")
     test_norm = dat.apply_normalization(test_raw, train_norm.normalization)
     return train_norm, test_norm, test_raw
 

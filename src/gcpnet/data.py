@@ -2,6 +2,8 @@
 
 Generation of the heteroscedastic synthetic benchmark, target contamination,
 train-statistics normalization, seeded splitting, and CSV ingestion.
+A non-finite CSV cell and a constant feature column are errors: no value
+is silently dropped or carried into training.
 All operations return new values; datasets are never mutated in place.
 """
 
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,22 +149,16 @@ def contaminate(ds: Dataset, fraction: float, seed: int = 0) -> Dataset:
 def normalize(ds: Dataset) -> Dataset:
     """Shift/scale features and target to zero mean, unit variance.
 
-    Zero-variance feature columns carry no information and are dropped with
-    a warning; an all-constant target cannot be scaled and is an error.
+    A constant feature column or an all-constant target cannot be scaled
+    and is an error; the message names the constant feature columns.
     The statistics ride along on the result for test-set transforms and
     for de-normalizing predictions."""
     x, y = ds.features, ds.targets
     fstd = np.std(x, axis=0)
-    keep = fstd > 0.0
-    if not keep.any():
-        raise ValueError("no informative feature columns: every one is "
-                         "constant")
-    if not keep.all():
-        dropped = np.flatnonzero(~keep).tolist()
-        warnings.warn(f"dropping zero-variance feature columns {dropped}",
-                      stacklevel=2)
-        x = x[:, keep]
-        fstd = fstd[keep]
+    constant = np.flatnonzero(fstd == 0.0).tolist()
+    if constant:
+        raise ValueError(f"no informative feature in columns {constant}: "
+                         f"each is constant")
     tstd = float(np.std(y))
     if tstd == 0.0:
         raise ValueError("target is constant; nothing to scale")
@@ -211,10 +206,10 @@ def split(ds: Dataset, train_fraction: float = 0.95,
 def load_csv(path) -> Dataset:
     """Read a headered CSV whose last column is the target.
 
-    Cells must parse as decimal floats; a malformed cell or a ragged row
-    fails with the 1-based line number and column name in the message,
-    and an unreadable file with its path.  Blank trailing lines are
-    ignored."""
+    Cells must parse as finite decimal floats; a malformed or non-finite
+    cell or a ragged row fails with the 1-based line number and column
+    name in the message, and an unreadable file with its path.  Blank
+    trailing lines are ignored."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -244,5 +239,11 @@ def load_csv(path) -> Dataset:
                 raise ValueError(
                     f"{path}:{lineno}: column '{header[c]}' has "
                     f"non-numeric value {cell!r}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        lineno, row = body[r]
+        raise ValueError(f"{path}:{lineno}: column '{header[c]}' has "
+                         f"non-finite value {row[c]!r}")
     return Dataset(features=values[:, :-1], targets=values[:, -1])
 

@@ -1,5 +1,5 @@
-"""Evaluation metrics: RMSE and the variance-ordered rejection curve with
-its normalized area."""
+"""Evaluation metric: the variance-ordered rejection curve and its normalized
+area.  The curve's first point is the test RMSE."""
 
 from __future__ import annotations
 
@@ -7,17 +7,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def rmse(preds, targets) -> float:
-    """Root mean squared error."""
-    p = np.asarray(preds, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.shape != t.shape or p.ndim != 1:
-        raise ValueError(f"aligned vectors required, got {p.shape} and {t.shape}")
-    if p.size < 1:
-        raise ValueError("need at least one sample")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
 @dataclass(frozen=True)

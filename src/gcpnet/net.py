@@ -8,7 +8,8 @@ Gaussian baseline `GaussianNet` names a mean head and a raw log-variance
 head.  Each subclass adds only its predictions and its loss.
 Initial weights come only from the generator the caller passes, and Adam
 runs with fixed constants, so a seed pins a trained model bitwise.
-Everything is plain numpy so a trained model serializes losslessly to JSON.
+Everything is plain numpy, so a trained model exports losslessly to JSON;
+the export is not read back.
 A one-column input broadcasts x * w1: matmul's rounding at half its cost.
 """
 
@@ -207,8 +208,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -225,6 +226,9 @@ def _blamed_column(dout):
     return int(np.argmax(np.abs(dout).max(axis=0)))
 
 
+# the loop checks every loss and gradient itself, so numpy's overflow
+# warnings would only come before its typed error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(model, features, targets, config: TrainConfig) -> TrainResult:
     """Seeded minibatch training; returns the per-epoch mean NLL trace.
 
@@ -321,9 +325,6 @@ def ensemble_prognostic_arrays(ensemble: Ensemble, x):
     return mix_mean, mixture_variance(v_ps), v_st_mix, alphas.mean(axis=0)
 
 
-NETWORK_KINDS = {"gcp": GcpNetwork, "gaussian": GaussianNet}
-
-
 def _net_state(net):
     kind = "gcp" if isinstance(net, GcpNetwork) else "gaussian"
     params = net.params()
@@ -336,48 +337,9 @@ def _net_state(net):
     }
 
 
-def _checkpoint_field(state, key, types):
-    """state[key] if it has one of `types`; a bool is never a number."""
-    value = state.get(key) if isinstance(state, dict) else None
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ValueError(f"checkpoint field {key!r} is missing or mistyped")
-    return value
-
-
-def _net_from_state(state):
-    """Rebuild one network, checking its fields' types, every head tensor's
-    shape against (in_dim, hidden) and every value for finiteness."""
-    kind = _checkpoint_field(state, "kind", str)
-    if kind not in NETWORK_KINDS:
-        raise ValueError(f"checkpoint kind {kind!r} is unknown; expected "
-                         f"one of {sorted(NETWORK_KINDS)} or 'ensemble'")
-    net = NETWORK_KINDS[kind](
-        _checkpoint_field(state, "in_dim", int),
-        hidden=_checkpoint_field(state, "hidden", int),
-        dropout=_checkpoint_field(state, "dropout", (int, float)),
-        rng=np.random.default_rng(0))
-    heads = _checkpoint_field(state, "heads", dict)
-    for k, name in enumerate(net.HEAD_NAMES):
-        head = heads.get(name)
-        if not isinstance(head, dict):
-            raise ValueError(f"checkpoint head {name!r} is missing")
-        for key, target in net.params().items():
-            where = f"checkpoint head {name!r} tensor {key!r}"
-            try:
-                value = np.asarray(head[key], dtype=float)
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"{where} is missing or not numeric")
-            if value.shape != target.shape[1:]:
-                raise ValueError(f"{where} has shape {value.shape}, expected "
-                                 f"{target.shape[1:]}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"{where} holds a non-finite value")
-            target[k] = value
-    return net
-
-
 def save_checkpoint(path, model, extra=None):
-    """JSON checkpoint whose floats round-trip exactly."""
+    """Export the weights as JSON whose floats round-trip exactly; gcpnet
+    does not read it back (a run is reproduced from its manifest.json)."""
     if isinstance(model, Ensemble):
         state = {"kind": "ensemble",
                  "members": [_net_state(member) for member in model.members]}
@@ -389,17 +351,3 @@ def save_checkpoint(path, model, extra=None):
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(state, fh)
     os.replace(tmp, path)
-
-
-def load_checkpoint(path):
-    """Rebuild the model saved by save_checkpoint; returns (model, extra)."""
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    if not isinstance(state, dict):
-        raise ValueError("checkpoint must hold a JSON object")
-    if state.get("kind") == "ensemble":
-        members = _checkpoint_field(state, "members", list)
-        model = Ensemble([_net_from_state(s) for s in members])
-    else:
-        model = _net_from_state(state)
-    return model, state.get("extra")

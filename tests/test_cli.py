@@ -234,13 +234,16 @@ class TestTrain:
         assert "hidden" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    def test_divergent_training_exits_numeric(self, tmp_path):
-        # a step this size overflows the heads, so the next loss is non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["train", "synthetic", "--lr", "1e308",
-                             "--epochs", "40", "--n", "60", "--test-n", "20",
-                             "--out", str(tmp_path / "o")])
-        assert code == 3
+    def test_divergent_training_exits_numeric(self, tmp_path, capsys):
+        # a step this size overflows the heads, so the next loss is
+        # non-finite; no numpy overflow warning may come first, since
+        # warnings are errors here
+        out = tmp_path / "o"
+        assert cli.main(["train", "synthetic", "--lr", "1e308",
+                         "--epochs", "40", "--n", "60", "--test-n", "20",
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure")
+        assert not out.exists()
 
 
 class TestDynamics:
@@ -549,6 +552,17 @@ USAGE_ERRORS = {
     "bench {tmp}/missing.csv": "missing.csv",
     "train {tmp}/header.csv": "no data rows",
     "train {tmp}/constant.csv": "no informative feature",
+    "train {tmp}/mixed.csv": "columns [1]",
+    "train {tmp}/nancell.csv": "nancell.csv:3",
+    "train {tmp}/rows20.csv": "train_fraction",
+    "train synthetic --train-fraction nan": "train_fraction",
+    "bench synthetic --train-fraction nan": "train_fraction",
+    "train synthetic --train-fraction 1": "train_fraction",
+    "train synthetic --lr inf": "learning_rate",
+    "train synthetic --seed -1": "seed",
+    "bench synthetic --seed -1": "seed",
+    "train synthetic --test-n 1": "test_n",
+    "train synthetic --test-n 0": "test_n",
 }
 
 
@@ -558,6 +572,11 @@ def test_usage_error_names_its_flag(tmp_path, capsys, argv):
     (tmp_path / "nan.json").write_text('{"learning_rate": NaN}')
     (tmp_path / "header.csv").write_text("x,y\n")
     (tmp_path / "constant.csv").write_text("x,y\n1,2\n1,3\n1,5\n")
+    (tmp_path / "mixed.csv").write_text("x0,x1,y\n" + "".join(
+        f"{i},7,{i * i}\n" for i in range(40)))
+    (tmp_path / "nancell.csv").write_text("x,y\n1,2\nnan,3\n2,5\n")
+    (tmp_path / "rows20.csv").write_text("x,y\n" + "".join(
+        f"{i},{i * i}\n" for i in range(20)))
     out = tmp_path / "out"
     tokens = [tok.replace("{tmp}", str(tmp_path)) for tok in argv.split()]
     assert cli.main(tokens + ["--out", str(out)]) == 2

@@ -174,12 +174,11 @@ class TestNormalize:
             test.targets * stats.target_std + stats.target_mean,
             shifted.targets, atol=1e-12)
 
-    def test_zero_variance_column_dropped_with_warning(self):
-        x = np.column_stack([np.ones(30), np.arange(30.0)])
+    def test_constant_feature_column_is_named(self):
+        x = np.column_stack([np.arange(30.0), np.ones(30), np.arange(30.0)])
         ds = dat.Dataset(features=x, targets=np.arange(30.0) ** 1.5)
-        with pytest.warns(UserWarning, match="zero-variance"):
-            out = dat.normalize(ds)
-        assert out.dim == 1
+        with pytest.raises(ValueError, match=r"columns \[1\]"):
+            dat.normalize(ds)
 
     def test_constant_target_rejected(self):
         ds = dat.Dataset(features=np.arange(10.0).reshape(-1, 1),
@@ -250,10 +249,13 @@ class TestCsv:
             dat.load_csv(p)
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
+        # float() parses the non-finite spellings, so they need their own
+        # check
         p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n1,oops\n")
-        with pytest.raises(ValueError, match=r"3.*column 'b'.*oops"):
-            dat.load_csv(p)
+        for cell in ("oops", "nan", "inf", "-inf", "1e999"):
+            p.write_text(f"a,b\n1,2\n1,{cell}\n")
+            with pytest.raises(ValueError, match=rf"3.*column 'b'.*'{cell}'"):
+                dat.load_csv(p)
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "ragged.csv"

@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of the artifacts of small, deterministic commands.
 
 Every file a listed invocation writes, manifest included, must hash to the
-value in tests/golden/digests.json.  The digests depend on floating-point
+value in tests/golden/digests.json, and every JSON file among them must be
+strict JSON, without NaN or Infinity.  The digests depend on floating-point
 results, so the file also records the numpy, scipy and BLAS versions it was
 made with; a mismatch names them.  A change that moves numbers on purpose
 regenerates the file with
@@ -71,11 +72,19 @@ def load_golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def strict_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_artifacts_match_golden_digests(name, tmp_path, capsys):
     golden = load_golden()
     want, got = golden["digests"][name], run_digests(name, tmp_path)
     capsys.readouterr()
+    # every JSON artifact is strict JSON: no NaN or Infinity
+    for path in (tmp_path / name).glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"),
+                   parse_constant=strict_constant)
     if got != want:
         changed = moved_files(got, want)
         note = ""

@@ -1,4 +1,5 @@
-"""Tests for RMSE and the variance-ordered rejection curve."""
+"""Tests for the variance-ordered rejection curve and the RMSE at its first
+point."""
 
 import math
 
@@ -9,19 +10,12 @@ from gcpnet import metrics as met
 
 
 class TestRmse:
-    def test_perfect_predictions(self):
-        assert met.rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    """The RMSE every command reports is the rejection curve's first point."""
 
     def test_hand_value(self):
-        got = met.rmse([3.0, 4.0], [0.0, 0.0])
-        np.testing.assert_allclose(got, math.sqrt(12.5), rtol=1e-15)
-
-    def test_single_sample_is_absolute_residual(self):
-        assert met.rmse([2.0], [5.0]) == 3.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            met.rmse([1.0], [1.0, 2.0])
+        curve = met.rejection_curve([3.0, 4.0], [0.1, 0.2], [0.0, 0.0])
+        np.testing.assert_allclose(curve.rmse_at_n[0], math.sqrt(12.5),
+                                   rtol=1e-15)
 
 
 class TestRejectionCurve:
@@ -46,8 +40,8 @@ class TestRejectionCurve:
         rng = np.random.default_rng(0)
         p, v, t = rng.normal(size=30), rng.uniform(size=30), rng.normal(size=30)
         curve = met.rejection_curve(p, v, t)
-        np.testing.assert_allclose(curve.rmse_at_n[0], met.rmse(p, t),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(curve.rmse_at_n[0],
+                                   np.sqrt(np.mean((p - t) ** 2)), rtol=1e-14)
 
     def test_auc_is_trapezoid_of_stored_curve(self):
         rng = np.random.default_rng(1)
