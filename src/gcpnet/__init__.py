@@ -6,7 +6,7 @@ Submodules:
     net       MLP heads, backprop, Adam, ensembles
     dynamics  training-dynamics ODE, equilibria, verification sweeps
     data      synthetic generator, contamination, normalization, CSV loading
-    metrics   RMSE, rejection curves, AUC
+    metrics   rejection curves (the first point is the RMSE), AUC
     cli       command-line entry points
 """
 

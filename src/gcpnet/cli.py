@@ -8,6 +8,7 @@ alone.  Exit codes: 0 success, 2 usage error, 3 numeric failure,
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -85,17 +86,14 @@ def _cell(value):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    """The header and rows as CSV in the file at `path`, or on stdout, one
+    newline-terminated line each, when `path` is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        writer = (csv.writer(fh, lineterminator="\n") if path is None
+                  else csv.writer(fh))
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _print_csv(header, rows):
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(_cell(v)) for v in row))
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _write_json(path, payload):
@@ -165,11 +163,6 @@ def _contamination_spec(args, epsilon):
         raise UsageError(str(exc))
 
 
-def _spec_payload(spec):
-    return {"epsilon": spec.epsilon, "m_g": spec.m_g, "v_g": spec.v_g,
-            "outlier": list(spec.outlier)}
-
-
 # ---------------------------------------------------------------------------
 # solve-a
 
@@ -189,7 +182,7 @@ def cmd_solve_a(args):
         rows.append((alpha, value, approx, value - approx,
                      a_equation_residual(alpha, value)))
     header = ("alpha", "a_value", "approx", "deviation", "residual")
-    _print_csv(header, rows)
+    _write_csv(None, header, rows)
     if args.out:
         out = _ensure_out(args)
         _write_csv(out / "solve_a.csv", header, rows)
@@ -260,6 +253,9 @@ def _resolve_train_config(args):
         raise UsageError("learning_rate must be positive and finite")
     if resolved["seed"] < 0:
         raise UsageError("seed must be at least 0")
+    if resolved["n"] < 2:
+        raise UsageError("n must be at least 2: normalization needs two "
+                         "training rows")
     if resolved["test_n"] < 2:
         raise UsageError("test_n must be at least 2: the rejection curve "
                          "needs two test samples")
@@ -281,6 +277,11 @@ def _prepare_splits(source, resolved):
         full = dat.load_csv(source)
         train_raw, test_raw = dat.split(full, resolved["train_fraction"],
                                         seed=seed)
+        if train_raw.n < 2:
+            raise UsageError(
+                f"train_fraction {resolved['train_fraction']!r} leaves "
+                f"{train_raw.n} of {full.n} rows for training; "
+                f"normalization needs two")
     if resolved["contamination"] > 0.0:
         train_raw = dat.contaminate(train_raw, resolved["contamination"],
                                     seed=seed)
@@ -402,7 +403,7 @@ def cmd_dynamics_simulate(args):
     _write_csv(out / "trajectory.csv",
                ("t", "m", "nu", "alpha", "beta", "sigma"), rows)
     _manifest(out, "dynamics simulate",
-              {"spec": _spec_payload(spec), "t_end": args.t_end,
+              {"spec": dataclasses.asdict(spec), "t_end": args.t_end,
                "state": [state.m, state.nu, state.alpha, state.beta],
                "settled": traj.settled, "escaped": traj.escaped,
                "truncated": traj.truncated, "evaluations": traj.evaluations,
@@ -432,7 +433,7 @@ def cmd_dynamics_equilibrium(args):
         out = _ensure_out(args)
         _write_json(out / "equilibrium.json", payload)
         _manifest(out, "dynamics equilibrium",
-                  {"spec": _spec_payload(spec), "guess": args.guess},
+                  {"spec": dataclasses.asdict(spec), "guess": args.guess},
                   ["equilibrium.json"])
     return EXIT_OK
 
@@ -467,10 +468,10 @@ def cmd_dynamics_sweep(args):
     out = _ensure_out(args)
     _write_csv(out / "sweep.csv", header, rows)
     _manifest(out, "dynamics sweep",
-              {"spec": _spec_payload(spec0), "eps": eps_values,
+              {"spec": dataclasses.asdict(spec0), "eps": eps_values,
                "alpha_limit": alpha_limit},
               ["sweep.csv"])
-    _print_csv(header, rows)
+    _write_csv(None, header, rows)
     return EXIT_OK
 
 
@@ -484,7 +485,7 @@ def cmd_dynamics_field(args):
     out = _ensure_out(args)
     _write_csv(out / "field.csv", ("alpha", "sigma", "dalpha", "dsigma"), rows)
     _manifest(out, "dynamics field",
-              {"spec": _spec_payload(spec), "m": args.m,
+              {"spec": dataclasses.asdict(spec), "m": args.m,
                "alpha_range": args.alpha_range,
                "sigma_range": args.sigma_range},
               ["field.csv"])

@@ -66,8 +66,10 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ConditionError("epsilon must lie in [0, 1)")
-        if not self.v_g > 0:
-            raise ConditionError("generative variance must be positive")
+        # a smaller v_g underflows the asymptotic guess's v_g**3 to zero
+        if not self.v_g >= 1.0 / MIXTURE_LIMIT:
+            raise ConditionError(f"v_g must be at least "
+                                 f"{1.0 / MIXTURE_LIMIT:g}, got {self.v_g!r}")
         kind = self.outlier[0]
         if kind == "gaussian":
             _, m_o, v_o = self.outlier
@@ -308,6 +310,9 @@ def _rk4_step(u, k1, dt, stage):
                  for x, a, b, c, d in zip(u, k1, k2, k3, k4))
 
 
+# fgh raises on non-finite integrals and a non-finite stage rejects its
+# step, so numpy's overflow warnings would only come before those checks
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
               nodes=None, max_steps=100000, settle_tol=None,
               escape_bound=None) -> Trajectory:
@@ -622,17 +627,21 @@ DEFAULT_VERIFY_EPS = (0.08, 0.04, 0.02, 0.01, 0.005)
 
 
 @dataclass(frozen=True)
-class VarianceRow:
+class InverseRow:
+    """One epsilon of the inverse problem; the fitted mean m_p stays NaN
+    until `verify_mean_exponential` solves it."""
+
     epsilon: float
     v_g: float
     m_o: float
     deviation: float
     slope: float
     converged: bool
+    m_p: float = math.nan
 
 
 @dataclass(frozen=True)
-class VarianceReport:
+class InverseReport:
     v_p: float
     b: float
     rows: tuple
@@ -645,14 +654,11 @@ class VarianceReport:
                 out.append(cur.deviation / prev.deviation)
         return out
 
-
-def variance_warm_start(sigma, eps, v_p, consts):
-    """First-order generative variance and the exponential outlier location
-    that keep (alpha, sigma) in balance at contamination eps."""
-    v_g0 = v_p * max(1.0 - consts.b * eps, 0.05)
-    m_o0 = math.sqrt(2.0 * sigma) * math.exp(0.5 * consts.b1) \
-        * math.exp(0.5 * consts.b0 / eps)
-    return v_g0, m_o0
+    def power_ratios(self, k):
+        """|m_p - m_g| / eps^k per row (m_g = 0), the sequence that must
+        decay."""
+        return [abs(row.m_p) / row.epsilon**k for row in self.rows
+                if row.epsilon > 0]
 
 
 def _inverse_residual(x, eps, alpha, sigma, n_nodes):
@@ -680,8 +686,8 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
     return r, jac
 
 
-def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
-                               nodes=None) -> VarianceReport:
+def verify_variance_correction(alpha, sigma,
+                               eps_seq=DEFAULT_VERIFY_EPS) -> InverseReport:
     """Inverse-equilibrium check of the first-order variance correction.
 
     For each epsilon, solve for the generative variance v_g and the
@@ -693,40 +699,44 @@ def verify_variance_correction(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
-    n_nodes = _dyn_nodes(nodes)
     v_p = sigma / (alpha - solve_A(alpha))
-    consts = correction_constants(alpha, nodes=n_nodes)
+    consts = correction_constants(alpha, nodes=DYNAMICS_NODES_DEFAULT)
     rows = []
     for eps in eps_seq:
         eps = float(eps)
         if eps == 0.0:
-            rows.append(VarianceRow(epsilon=0.0, v_g=v_p, m_o=math.nan,
-                                    deviation=0.0, slope=math.nan,
-                                    converged=True))
+            rows.append(InverseRow(epsilon=0.0, v_g=v_p, m_o=math.nan,
+                                   deviation=0.0, slope=math.nan,
+                                   converged=True, m_p=0.0))
             continue
-        v_g0, m_o0 = variance_warm_start(sigma, eps, v_p, consts)
+        # start from the first-order v_g and the exponential outlier
+        # location that keep (alpha, sigma) in balance
+        v_g0 = v_p * max(1.0 - consts.b * eps, 0.05)
+        m_o0 = math.sqrt(2.0 * sigma) * math.exp(0.5 * consts.b1) \
+            * math.exp(0.5 * consts.b0 / eps)
         try:
             x, _ = _damped_newton(
-                lambda x: _inverse_residual(x, eps, alpha, sigma, n_nodes),
+                lambda x: _inverse_residual(x, eps, alpha, sigma,
+                                            DYNAMICS_NODES_DEFAULT),
                 (math.log(v_g0), math.log(m_o0)), 1e-13)
         except NonConvergenceError:
-            rows.append(VarianceRow(epsilon=eps, v_g=math.nan, m_o=math.nan,
-                                    deviation=math.nan, slope=math.nan,
-                                    converged=False))
+            rows.append(InverseRow(epsilon=eps, v_g=math.nan, m_o=math.nan,
+                                   deviation=math.nan, slope=math.nan,
+                                   converged=False))
             continue
         v_g, m_o = math.exp(x[0]), math.exp(x[1])
         try:
             deviation = abs(v_g - corrected_variance(v_p, alpha, eps, consts))
         except ValueError:
             deviation = math.nan
-        rows.append(VarianceRow(epsilon=eps, v_g=v_g, m_o=m_o,
-                                deviation=deviation,
-                                slope=(v_p - v_g) / (eps * v_p),
-                                converged=True))
-    return VarianceReport(v_p=v_p, b=consts.b, rows=tuple(rows))
+        rows.append(InverseRow(epsilon=eps, v_g=v_g, m_o=m_o,
+                               deviation=deviation,
+                               slope=(v_p - v_g) / (eps * v_p),
+                               converged=True))
+    return InverseReport(v_p=v_p, b=consts.b, rows=tuple(rows))
 
 
-def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
+def solve_mean_root(spec: ContaminationSpec, alpha, sigma):
     """Root of the mean-pull integral near the generative mean.
 
     Newton from m_g with the analytic derivative of F, converged when |F|
@@ -735,8 +745,7 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
     raises NonConvergenceError.
     """
     def evaluate(x):
-        (f, _, _), jac = fgh(x[0], alpha, sigma, spec, nodes=nodes,
-                             jacobian=True)
+        (f, _, _), jac = fgh(x[0], alpha, sigma, spec, jacobian=True)
         return np.array([f]), jac[:1, :1]
 
     r0, _ = evaluate([spec.m_g])
@@ -746,59 +755,31 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma, nodes=None):
     return float(x[0])
 
 
-@dataclass(frozen=True)
-class MeanRow:
-    epsilon: float
-    v_g: float
-    m_o: float
-    m_p: float
-    deviation: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class MeanReport:
-    rows: tuple
-
-    def power_ratios(self, k):
-        """deviation / eps^k per row, the sequence that must decay."""
-        return [row.deviation / row.epsilon**k for row in self.rows
-                if row.epsilon > 0]
-
-
-def verify_mean_exponential(alpha, sigma, eps_seq=DEFAULT_VERIFY_EPS,
-                            nodes=None) -> MeanReport:
+def verify_mean_exponential(alpha, sigma,
+                            eps_seq=DEFAULT_VERIFY_EPS) -> InverseReport:
     """Super-polynomial closeness of the fitted mean to the generative mean.
 
-    Reuses the inverse-problem mixtures from the variance verification and
-    solves the mean-pull root at each epsilon; the deviation |m_p - m_g|
-    (m_g = 0) must fall faster than eps^2 and eps^3.
+    Solves the mean-pull root in each converged inverse-problem mixture of
+    the variance verification and returns that report with m_p filled in;
+    the deviation |m_p - m_g| (m_g = 0) must fall faster than eps^2 and
+    eps^3.  A failed root leaves m_p NaN and marks its row unconverged.
     """
-    var_report = verify_variance_correction(alpha, sigma, eps_seq=eps_seq,
-                                            nodes=nodes)
+    report = verify_variance_correction(alpha, sigma, eps_seq=eps_seq)
     rows = []
-    for vr in var_report.rows:
-        if vr.epsilon == 0.0:
-            rows.append(MeanRow(epsilon=0.0, v_g=vr.v_g, m_o=math.nan,
-                                m_p=0.0, deviation=0.0, converged=True))
-            continue
-        if not vr.converged:
-            rows.append(MeanRow(epsilon=vr.epsilon, v_g=math.nan, m_o=math.nan,
-                                m_p=math.nan, deviation=math.nan,
-                                converged=False))
-            continue
-        spec = ContaminationSpec(epsilon=vr.epsilon, v_g=vr.v_g,
-                                 outlier=("gaussian", vr.m_o, 1.0))
-        try:
-            m_p = solve_mean_root(spec, alpha, sigma, nodes=nodes)
-        except NonConvergenceError:
-            m_p = math.nan
-        rows.append(MeanRow(epsilon=vr.epsilon, v_g=vr.v_g, m_o=vr.m_o,
-                            m_p=m_p, deviation=abs(m_p),
-                            converged=not math.isnan(m_p)))
-    return MeanReport(rows=tuple(rows))
+    for row in report.rows:
+        if row.epsilon > 0.0 and row.converged:
+            spec = ContaminationSpec(epsilon=row.epsilon, v_g=row.v_g,
+                                     outlier=("gaussian", row.m_o, 1.0))
+            try:
+                row = replace(row, m_p=solve_mean_root(spec, alpha, sigma))
+            except NonConvergenceError:
+                row = replace(row, converged=False)
+        rows.append(row)
+    return replace(report, rows=tuple(rows))
 
 
+# as in integrate: fgh's own check reports a non-finite integral
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
                m=None, nodes=None):
     """(alpha, sigma, dalpha, dsigma) rows over a grid at fixed m, nu = 1."""

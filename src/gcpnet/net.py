@@ -275,17 +275,11 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
     return result
 
 
-@dataclass
-class Ensemble:
-    """Independently initialized and trained members of one architecture."""
-
-    members: list
-
-
 def train_ensemble(in_dim, features, targets, config: TrainConfig,
                    n_members: int = 5, hidden: int = 50,
-                   dropout: float = 0.0) -> tuple[Ensemble, list]:
-    """Train `n_members` GcpNetworks from independently spawned seed streams."""
+                   dropout: float = 0.0) -> tuple[list, list]:
+    """Train `n_members` GcpNetworks from independently spawned seed streams;
+    the ensemble is the list of its members."""
     seeds = np.random.SeedSequence(config.seed).spawn(n_members)
     members, traces = [], []
     for seq in seeds:
@@ -294,7 +288,7 @@ def train_ensemble(in_dim, features, targets, config: TrainConfig,
         member_config = replace(config, seed=int(seq.generate_state(1)[0]))
         traces.append(train(net, features, targets, member_config))
         members.append(net)
-    return Ensemble(members), traces
+    return members, traces
 
 
 def prognostic_arrays(net: GcpNetwork, x):
@@ -305,14 +299,14 @@ def prognostic_arrays(net: GcpNetwork, x):
     return m, v_p, v_st, alpha
 
 
-def ensemble_prognostic_arrays(ensemble: Ensemble, x):
+def ensemble_prognostic_arrays(members: list, x):
     """Mixture mean/variance across members.
 
     Variance is the mixture second moment minus the squared mixture mean;
     the heavy-tailed column is infinite whenever any member's is.
     """
     means, v_ps, v_sts, alphas = map(np.stack, zip(
-        *(prognostic_arrays(net, x) for net in ensemble.members)))
+        *(prognostic_arrays(net, x) for net in members)))
     mix_mean = means.mean(axis=0)
 
     def mixture_variance(variances):
@@ -340,9 +334,9 @@ def _net_state(net):
 def save_checkpoint(path, model, extra=None):
     """Export the weights as JSON whose floats round-trip exactly; gcpnet
     does not read it back (a run is reproduced from its manifest.json)."""
-    if isinstance(model, Ensemble):
+    if isinstance(model, list):
         state = {"kind": "ensemble",
-                 "members": [_net_state(member) for member in model.members]}
+                 "members": [_net_state(member) for member in model]}
     else:
         state = _net_state(model)
     if extra:

@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcpnet
 from gcpnet import cli
@@ -308,14 +313,18 @@ class TestDynamics:
         assert payload["converged"] is True
         assert max(payload["residuals"]) < 1e-9
 
-    # argv after "dynamics" -> the mixture field its error must name
+    # argv after "dynamics" -> the start of its error, naming the field
     UNREPRESENTABLE = {
-        "equilibrium --epsilon 0.04 --m-g 1e300": "m_g",
-        "sweep --eps 0.04 --gaussian-outliers 5,1e300": "v_o",
-        "simulate --epsilon 0 --m-g 1e300": "m_g",
-        "equilibrium --epsilon 0.04 --v-g inf": "v_g",
-        "equilibrium --epsilon 0.04 --gaussian-outliers inf,1": "m_o",
-        "simulate --epsilon 0.05 --v-g 1e300": "v_g",
+        "equilibrium --epsilon 0.04 --m-g 1e300": "m_g must be finite",
+        "sweep --eps 0.04 --gaussian-outliers 5,1e300": "v_o must be finite",
+        "simulate --epsilon 0 --m-g 1e300": "m_g must be finite",
+        "equilibrium --epsilon 0.04 --v-g inf": "v_g must be finite",
+        "equilibrium --epsilon 0.04 --gaussian-outliers inf,1":
+            "m_o must be finite",
+        "simulate --epsilon 0.05 --v-g 1e300": "v_g must be finite",
+        # v_g**3 in the asymptotic guess underflowed to a ZeroDivisionError
+        "equilibrium --epsilon 0.04 --v-g 1e-300": "v_g must be at least 1e-50",
+        "sweep --eps 0.04 --v-g 1e-300": "v_g must be at least 1e-50",
     }
 
     @pytest.mark.parametrize("argv", UNREPRESENTABLE)
@@ -324,7 +333,7 @@ class TestDynamics:
         out = tmp_path / "out"
         assert cli.main(["dynamics", *argv.split(), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"error: {self.UNREPRESENTABLE[argv]} must be finite" in err
+        assert f"error: {self.UNREPRESENTABLE[argv]}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -422,6 +431,19 @@ class TestDynamics:
                          "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "trajectory.csv")
         assert float(rows[0][3]) == 2.0
+
+    @pytest.mark.parametrize("argv, code", [
+        # a rejected trial stage overflows in fgh and the step is retried
+        (["simulate", "--epsilon", "0.04", "--state", "0,1,1,1e-300",
+          "--t-end", "1"], 0),
+        (["field", "--epsilon", "0.04", "--m", "1e300"], 3),
+    ])
+    def test_overflow_ends_without_numpy_warning(self, tmp_path, capsys,
+                                                 argv, code):
+        # pytest turns a RuntimeWarning into an error that escapes cli.main
+        assert cli.main(["dynamics", *argv, "--out", str(tmp_path)]) == code
+        if code == 3:
+            assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_end", ["-5", "0", "nan"])
     def test_simulate_rejects_nonpositive_horizon(self, tmp_path, capsys,
@@ -563,6 +585,9 @@ USAGE_ERRORS = {
     "bench synthetic --seed -1": "seed",
     "train synthetic --test-n 1": "test_n",
     "train synthetic --test-n 0": "test_n",
+    "train synthetic --n 1": "n must be at least 2",
+    "train {tmp}/rows3.csv --train-fraction 0.4": "leaves 1 of 3 rows for "
+                                                  "training",
 }
 
 
@@ -575,6 +600,7 @@ def test_usage_error_names_its_flag(tmp_path, capsys, argv):
     (tmp_path / "mixed.csv").write_text("x0,x1,y\n" + "".join(
         f"{i},7,{i * i}\n" for i in range(40)))
     (tmp_path / "nancell.csv").write_text("x,y\n1,2\nnan,3\n2,5\n")
+    (tmp_path / "rows3.csv").write_text("x,y\n1,2\n2,3\n3,5\n")
     (tmp_path / "rows20.csv").write_text("x,y\n" + "".join(
         f"{i},{i * i}\n" for i in range(20)))
     out = tmp_path / "out"
@@ -655,3 +681,34 @@ for argv in (["solve-a", "--alpha", "2"],
     assert lines[:2] == ["[]", "[]"]
     assert all(line.endswith(" 0 []") for line in lines[2:]), lines
     assert len(lines) == 6
+
+
+# each mixture flag's edge values: zero, 1e-300 (its cube underflows),
+# 1/MIXTURE_LIMIT, 1 and MIXTURE_LIMIT of both signs, and the non-finite ones
+MIXTURE_EDGES = st.sampled_from(["0", "1e-300", "-1e-300", "1e-50", "-1e-50",
+                                 "1", "-1", "1e50", "-1e50", "inf", "-inf",
+                                 "nan"])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(command=st.sampled_from([
+           ["equilibrium", "--epsilon", "0.04"],
+           ["field", "--epsilon", "0.04", "--alpha-range", "0.5:50:3",
+            "--sigma-range", "0.5:50:3"]]),
+       m_g=MIXTURE_EDGES, v_g=MIXTURE_EDGES,
+       outliers=st.sampled_from(["--gaussian-outliers", "--uniform-outliers"]),
+       pair=st.tuples(MIXTURE_EDGES, MIXTURE_EDGES))
+def test_mixture_flags_end_in_a_typed_exit(command, m_g, v_g, outliers, pair):
+    # "=" keeps argparse from reading a negative value as a flag; a numpy
+    # RuntimeWarning fails the test through the pytest filter
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["dynamics", *command, f"--m-g={m_g}",
+                             f"--v-g={v_g}", f"{outliers}={','.join(pair)}",
+                             "--out", str(out)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert code != 2 or not out.exists()

@@ -628,6 +628,23 @@ class TestMeanVerification:
         np.testing.assert_allclose([r.m_p for r in rep.rows], FROZEN_MP,
                                    rtol=1e-9)
 
+    def test_mean_report_extends_the_variance_report(self):
+        # one inverse solve per epsilon carries both laws
+        eps = (0.01, 0.005, 0.0)
+        var = dyn.verify_variance_correction(alpha=2.0, sigma=2.0,
+                                             eps_seq=eps)
+        rep = dyn.verify_mean_exponential(alpha=2.0, sigma=2.0, eps_seq=eps)
+        assert (rep.v_p, rep.b) == (var.v_p, var.b)
+        assert rep.ratios() == var.ratios()
+        fields = ("epsilon", "v_g", "m_o", "deviation", "slope", "converged")
+        for vr, row in zip(var.rows, rep.rows, strict=True):
+            np.testing.assert_array_equal(
+                [getattr(row, f) for f in fields],
+                [getattr(vr, f) for f in fields])
+        assert [math.isnan(r.m_p) for r in var.rows] == [True, True, False]
+        assert all(math.isfinite(r.m_p) for r in rep.rows)
+        assert rep.rows[-1].m_p == var.rows[-1].m_p == 0.0
+
     def test_super_polynomial_decay(self):
         eps = (0.0025, 0.00125, 0.000625, 0.0003125)
         rep = dyn.verify_mean_exponential(alpha=2.0, sigma=2.0, eps_seq=eps)
@@ -648,7 +665,7 @@ class TestMeanVerification:
                                           eps_seq=(0.01, 0.0))
         row, clean = rep.rows
         assert not row.converged
-        assert math.isnan(row.m_p) and math.isnan(row.deviation)
+        assert math.isnan(row.m_p)
         np.testing.assert_allclose(row.v_g, FROZEN_VG[3], atol=2e-8)
         assert clean.converged and clean.m_p == 0.0
 

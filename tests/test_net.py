@@ -499,9 +499,9 @@ class TestEnsemble:
         x, y = tiny_dataset(40)
         cfg = nn.TrainConfig(epochs=2, batch_size=20, seed=0)
         ens, traces = nn.train_ensemble(1, x, y, cfg, n_members=3, hidden=6)
-        assert all(isinstance(m, nn.GcpNetwork) for m in ens.members)
-        assert len(traces) == 3
-        w = [m.w1[0] for m in ens.members]
+        assert all(isinstance(m, nn.GcpNetwork) for m in ens)
+        assert len(ens) == len(traces) == 3
+        w = [m.w1[0] for m in ens]
         assert not np.array_equal(w[0], w[1])
         assert not np.array_equal(w[1], w[2])
 
@@ -511,7 +511,7 @@ class TestEnsemble:
         ens, _ = nn.train_ensemble(1, x, y, cfg, n_members=3, hidden=6)
         xq = np.array([[0.1], [-0.3]])
         mean, v_p, v_st, alpha = nn.ensemble_prognostic_arrays(ens, xq)
-        per = [nn.prognostic_arrays(m, xq) for m in ens.members]
+        per = [nn.prognostic_arrays(m, xq) for m in ens]
         means = np.stack([p[0] for p in per])
         vs = np.stack([p[1] for p in per])
         np.testing.assert_allclose(mean, means.mean(axis=0), rtol=1e-12)
@@ -524,8 +524,8 @@ class TestEnsemble:
         _, _, v_st, alpha = nn.prognostic_arrays(netw, np.array([[0.0]]))
         assert alpha[0] < 1.0
         assert v_st[0] == math.inf
-        ens = nn.Ensemble(members=[netw])
-        _, _, v_st_mix, _ = nn.ensemble_prognostic_arrays(ens, np.array([[0.0]]))
+        _, _, v_st_mix, _ = nn.ensemble_prognostic_arrays([netw],
+                                                          np.array([[0.0]]))
         assert v_st_mix[0] == math.inf
 
 class TestCheckpoint:
@@ -572,5 +572,5 @@ class TestCheckpoint:
         ens, _ = nn.train_ensemble(1, x, y, cfg, n_members=2, hidden=5)
         state = self.written(tmp_path, ens)
         assert state["kind"] == "ensemble" and len(state["members"]) == 2
-        for member_state, member in zip(state["members"], ens.members):
+        for member_state, member in zip(state["members"], ens):
             self.assert_net_state(member_state, member, "gcp")
