@@ -178,7 +178,7 @@ def cmd_solve_a(args):
     for alpha in map(float, alphas):
         # solve_A's ValueError on a non-positive alpha is a usage error
         value = solve_A(alpha)
-        approx = 2.0 * alpha / (2.0 * alpha + 3.0)
+        approx = alpha / (alpha + 1.5)
         rows.append((alpha, value, approx, value - approx,
                      a_equation_residual(alpha, value)))
     header = ("alpha", "a_value", "approx", "deviation", "residual")

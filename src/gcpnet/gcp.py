@@ -198,7 +198,7 @@ def correction_constants(alpha: float,
     s = 2.0 * (alpha - solve_A(alpha))
     rule = hermite_rule(nodes if nodes is not None else CORRECTION_NODES)
     mean_log = gauss_weighted_integral(lambda y: np.log1p(y * y / s), rule)
-    slope = log_gap_slope(alpha, s)
+    slope = log_gap_slope(s)
     return CorrectionConstants(b0=-mean_log - delta_psi(alpha),
                                b1=mean_log + slope,
                                b=(2.0 * alpha + 1.0) * slope)

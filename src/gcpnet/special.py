@@ -8,24 +8,18 @@ the unique root of
 which enters the prognostic variance sigma / (alpha - A(alpha)).  A(alpha)
 increases monotonically from 0 to 1 and always satisfies A(alpha) < alpha.
 
-With s = 2*(alpha - A) the expectation collapses to 1 - R(s), where
-
-    R(s) = sqrt(pi*s/2) * exp(s/2) * erfc(sqrt(s/2)),
-
-so the root solve reduces to a scalar bisection on a residual evaluated via
-erfcx with no quadrature error at all.  A Gauss-Hermite evaluation of
-the same residual is kept alongside for cross-checking; the closed form is
-what production code uses because a fixed Hermite rule loses the integrand
-once s leaves the node range (128 nodes resolve it only for alpha roughly in
-[1, 200], while the table below spans [1e-3, 1e3]).
-
-Predictions read alpha - A(alpha) from `AlphaTable`, a cubic Hermite
-over 512 solves whose knot slopes come from differentiating the defining
-equation (log_gap_slope).  It stays within 1.4e-10 relative of the solver
-between knots and strictly increasing on a 400,001-point scan.  Nothing
-here imports scipy, so `solve-a` and the dynamics commands start on numpy
-alone.  The error types the command line maps to exit codes live here
-too, so it need not import `dynamics` or `net`.
+Everything about A is read at x = sqrt(alpha - A), where the expectation
+is 1 - R with R = sqrt(pi) x erfcx(x) and the equation inverts in closed
+form: alpha = R / (2 (1 - R)), A = W / (1 - R) with W = (R - 2x^2 (1 - R))/2.
+Below x = 4 these read Cody's rational forms, and from x = 4 on the
+continued fraction of erfcx (A&S 7.1.14), with no cancellation up to the
+largest double.  `solve_A` is Newton in ln x on this inverse; `AlphaTable`
+interpolates between knots whose values and slopes are closed forms.  The
+quadrature residual is a cross-check only: a fixed Hermite rule loses the
+integrand once s = 2x^2 leaves its node range.  Nothing here imports
+scipy, so `solve-a` and the dynamics commands start on numpy alone.  The
+exit-code error types live here, so the CLI need not import `dynamics`
+or `net`.
 """
 
 from __future__ import annotations
@@ -104,10 +98,13 @@ def delta_trigamma(alpha: float) -> float:
     return gap + 0.5 / (x * (x + 0.5)) + _trigamma_tail(x) - _trigamma_tail(x + 0.5)
 
 
+_SQRT_PI = math.sqrt(math.pi)
+
+
 def erfcx(x: float) -> float:
     """exp(x^2) erfc(x) for a float x >= 0, within a few ulp: Cody's (1969)
-    rational forms from CALERF on [0, 0.46875], (0.46875, 4] and beyond,
-    written out because solve_A calls it about 60 times per solve."""
+    rational form from CALERF on [0, 0.46875], written out, and R(x) /
+    (sqrt(pi) x) from `_gap_state` beyond."""
     if x <= 0.46875:
         z = x * x
         top = ((((1.85777706184603153e-1 * z + 3.16112374387056560e00) * z
@@ -116,25 +113,7 @@ def erfcx(x: float) -> float:
         bottom = ((((z + 2.36012909523441209e01) * z + 2.44024637934444173e02)
                    * z + 1.28261652607737228e03) * z + 2.84423683343917062e03)
         return math.exp(z) * (1.0 - x * top / bottom)
-    if x <= 4.0:
-        top = ((((((((2.15311535474403846e-8 * x + 5.64188496988670089e-1) * x
-                     + 8.88314979438837594e00) * x + 6.61191906371416295e01) * x
-                   + 2.98635138197400131e02) * x + 8.81952221241769090e02) * x
-                 + 1.71204761263407058e03) * x + 2.05107837782607147e03) * x
-               + 1.23033935479799725e03)
-        bottom = ((((((((x + 1.57449261107098347e01) * x + 1.17693950891312499e02)
-                       * x + 5.37181101862009858e02) * x + 1.62138957456669019e03)
-                     * x + 3.29079923573345963e03) * x + 4.36261909014324716e03)
-                   * x + 3.43936767414372164e03) * x + 1.23033935480374942e03)
-        return top / bottom
-    z = 1.0 / (x * x)
-    top = (((((1.63153871373020978e-2 * z + 3.05326634961232344e-1) * z
-              + 3.60344899949804439e-1) * z + 1.25781726111229246e-1) * z
-            + 1.60837851487422766e-2) * z + 6.58749161529837803e-4)
-    bottom = (((((z + 2.56852019228982242e00) * z + 1.87295284992346725e00) * z
-                + 5.27905102951428412e-1) * z + 6.05183413124413191e-2) * z
-              + 2.33520497626869185e-3)
-    return (0.56418958354775628695 - z * top / bottom) / x
+    return _gap_state(x)[0] / (_SQRT_PI * x)
 
 
 @dataclass(frozen=True)
@@ -264,85 +243,101 @@ def gauss_weighted_integral(f, rule: QuadratureRule) -> float:
     return acc
 
 
+# partial numerators k/2 of the continued fraction below U, innermost
+# first, cut at depth 40; from x = 4 on 25 terms already reach 1e-17
+_CF_NUMERATORS = tuple(0.5 * k for k in range(40, 2, -1))
+
+
+def _gap_state(x: float):
+    """(R, 1 - R, alpha, A, d ln(alpha - A) / d ln alpha) at x = sqrt(alpha
+    - A) >= 0.  From x = 4 on, sqrt(pi) erfcx(x) = 1/(x + (1/2)/T) with T =
+    x + 1/U and U = x + (3/2)/(x + 2/(x + ...)); then alpha = x T, A = x / U
+    and 1 - R = (1/2)/(1/2 + x T): nothing cancels or overflows."""
+    if x >= 4.0:
+        u = x
+        for numerator in _CF_NUMERATORS:
+            u = x + numerator / u
+        t = x + 1.0 / u
+        xt = x * t
+        return xt / (0.5 + xt), 0.5 / (0.5 + xt), xt, x / u, t * u / (0.5 + xt)
+    if x == 0.0:
+        return 0.0, 1.0, 0.0, 0.0, 2.0
+    if x <= 0.46875:
+        r = _SQRT_PI * x * erfcx(x)
+        c = 1.0 - r
+    else:
+        # Cody's erfcx on (0.46875, 4] is P/Q, so 1 - R = D/Q with D = Q -
+        # sqrt(pi) x P, formed once in 60-digit arithmetic; 1 - R by
+        # subtraction would lose up to 1.5 digits as R nears 1
+        c = ((((((((((-3.816297601959867e-08 * x + 1.925875836496077e-06) * x
+                     - 4.6950524385900875e-05) * x + 0.5007368277548784) * x
+                   + 7.864101148327068) * x + 58.169963712043064) * x
+                 + 256.2738517866059) * x + 727.1773208563878) * x
+               + 1258.6479468114035) * x + 1.23033935480374942e03)
+             / ((((((((x + 1.57449261107098347e01) * x + 1.17693950891312499e02)
+                     * x + 5.37181101862009858e02) * x + 1.62138957456669019e03)
+                   * x + 3.29079923573345963e03) * x + 4.36261909014324716e03)
+                 * x + 3.43936767414372164e03) * x + 1.23033935480374942e03))
+        r = 1.0 - c
+    w = 0.5 * (r - 2.0 * x * x * c)
+    return r, c, 0.5 * r / c, w / c, r * c / w
+
+
 def rational_mean_complement(s: float) -> float:
-    """R(s) = s * E[1/(s + y^2)] = sqrt(pi s/2) erfcx(sqrt(s/2)), so that
-    E[y^2/(s + y^2)] = 1 - R(s).  Monotone increasing from 0 to 1."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return math.sqrt(0.5 * math.pi * s) * erfcx(math.sqrt(0.5 * s))
+    """R(s) = s * E[1/(s + y^2)] = sqrt(pi s/2) erfcx(sqrt(s/2)) for s >= 0,
+    so that E[y^2/(s + y^2)] = 1 - R(s).  Monotone increasing from 0 to 1."""
+    return _gap_state(math.sqrt(0.5 * s))[0]
 
 
-def weighted_square_mean(s: float) -> float:
-    """E[s*y^2/(s + y^2)^2] for y ~ N(0,1), via d/ds of the mean above:
-    equals (R(s)*(1+s) - s)/2 exactly."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    r = rational_mean_complement(s)
-    return 0.5 * (r * (1.0 + s) - s)
-
-
-def log_gap_slope(alpha: float, s: float) -> float:
-    """d ln(alpha - A) / d ln alpha at s = 2*(alpha - A(alpha)), from
-    differentiating the defining equation: 2 alpha over (2 alpha + 1)^2
-    times weighted_square_mean(s).  It falls from 2 at small alpha to 1."""
-    return 2.0 * alpha / ((2.0 * alpha + 1.0) ** 2 * weighted_square_mean(s))
+def log_gap_slope(s: float) -> float:
+    """d ln(alpha - A) / d ln alpha at s = 2*(alpha - A) >= 0: R (1 - R) /
+    W with W = E[s y^2/(s + y^2)^2]; it falls from 2 at s = 0 to 1."""
+    return _gap_state(math.sqrt(0.5 * s))[4]
 
 
 def a_equation_residual(alpha: float, a: float, rule: QuadratureRule | None = None) -> float:
-    """Residual of the defining equation of A(alpha) at the trial value a.
-
-    (2*alpha+1) * E[y^2/(2(alpha-a)+y^2)] - 1, strictly increasing in a.
-    With no rule the expectation is evaluated in closed form; passing a
-    hermite rule evaluates it by quadrature instead (cross-check path).
-    """
-    s = 2.0 * (alpha - a)
+    """(2*alpha+1) * E[y^2/(2(alpha-a)+y^2)] - 1, increasing in the trial
+    value a, formed as (alpha + 1/2) * 2E - 1 to stay finite at any alpha;
+    E in closed form, or by quadrature with a hermite rule (cross-check)."""
     if rule is None:
-        mean = 1.0 - rational_mean_complement(s)
+        mean = _gap_state(math.sqrt(alpha - a))[1]
     else:
+        s = 2.0 * (alpha - a)
         mean = gauss_weighted_integral(lambda y: y * y / (s + y * y), rule)
-    return (2.0 * alpha + 1.0) * mean - 1.0
+    return (alpha + 0.5) * (2.0 * mean) - 1.0
 
 
-def solve_A(alpha: float) -> float:
-    """Solve for A(alpha) by bisection on (0, min(1, alpha)).
-
-    The residual is negative at 0+ and positive at the cap, so plain
-    bisection cannot fail; the upper endpoint is guarded with a shrinking
-    offset to keep the initial bracket strict.  Resolution is driven to the
-    floating-point limit (far below the 1e-12 contract on A).
+def _solve_x(alpha: float) -> float:
+    """x = sqrt(alpha - A(alpha)) by Newton in ln x on alpha(x), which is
+    convex in ln x, from the right of the root, so no bracket is needed:
+    the start joins the asymptotes alpha - A ~ alpha and ~ (4/pi) alpha^2.
+    A step below 1e-9 leaves an error of order its square; none takes 5.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"solve_A requires a finite alpha > 0, got {alpha!r}")
-    cap = min(1.0, alpha)
-    delta = 1e-6 * cap
-    while a_equation_residual(alpha, cap - delta) <= 0.0:
-        delta *= 0.5
-        if delta < 1e-300:
-            raise NumericError(f"bisection bracket failure at alpha={alpha}")
-    lo, hi = 0.0, cap - delta
-    if a_equation_residual(alpha, lo) >= 0.0:
-        raise NumericError(f"bisection bracket failure at alpha={alpha}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if a_equation_residual(alpha, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    alpha = float(alpha)  # a numpy alpha would warn as 2 alpha overflows
+    x = min(math.sqrt(alpha), 2.0 * alpha / _SQRT_PI)
+    for _ in range(12):
+        _, _, alpha_x, _, slope = _gap_state(x)
+        step = 0.5 * slope * math.log(alpha_x / alpha)
+        x *= math.exp(-step)
+        if abs(step) < 1e-9:
+            return x
+    raise NumericError(f"A(alpha) did not converge at alpha={alpha}")
+
+
+def solve_A(alpha: float) -> float:
+    """A(alpha) = W / (1 - R) at the solved x, with no cancellation."""
+    return _gap_state(_solve_x(alpha))[3]
 
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Precomputed A(alpha) at 512 log-spaced alphas on [1e-3, 1e3] with
-    cubic Hermite interpolation.
-
-    Interpolates log(2*(alpha - A)) against log(alpha), which is nearly
-    piecewise linear (slope 2 for small alpha, slope 1 for large), so the
-    derived alpha - A keeps full relative accuracy where A -> alpha would
-    cancel catastrophically.  The slope at each knot is the exact one,
-    log_gap_slope.  Queries outside the grid fall back to the direct solve.
+    """alpha - A(alpha) as a cubic Hermite in ln alpha of ln(alpha - A),
+    nearly linear (slope 2 for small alpha, 1 for large), over 512 knots
+    spaced uniformly in ln x on [1e-3, 32], so alpha spans [8.9e-4, 1025].
+    A knot's alpha and slope are closed forms of its x, so the build
+    solves nothing; queries outside the grid are solved directly.
     """
 
     alphas: np.ndarray
@@ -353,17 +348,17 @@ class AlphaTable:
     def build(cls) -> "AlphaTable":
         """Column i of `coefficients` holds piece i in powers of
         log(alpha) - log_alphas[i], highest first."""
-        alphas = np.logspace(-3.0, 3.0, 512)
-        s = np.array([2.0 * (a - solve_A(a)) for a in alphas])
-        d = np.array([log_gap_slope(a, s_a) for a, s_a in zip(alphas, s)])
-        knots, y = np.log(alphas), np.log(s)
+        x = np.geomspace(1e-3, 32.0, 512)
+        states = np.array([_gap_state(float(v)) for v in x])
+        alphas, d = states[:, 2], states[:, 4]
+        knots, y = np.log(alphas), 2.0 * np.log(x)
         h = np.diff(knots)
         m = np.diff(y) / h
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         return cls(alphas, knots,
                    np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
 
-    def _log_twice_gap(self, q):
+    def _log_gap(self, q):
         """The interpolant at log-alphas q inside the grid."""
         x, c = self.log_alphas, self.coefficients
         i = np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
@@ -380,9 +375,12 @@ class AlphaTable:
         out = np.empty_like(arr)
         inside = (arr >= self.alphas[0]) & (arr <= self.alphas[-1])
         if np.any(inside):
-            out[inside] = 0.5 * np.exp(self._log_twice_gap(np.log(arr[inside])))
+            out[inside] = np.exp(self._log_gap(np.log(arr[inside])))
         if not np.all(inside):
-            out[~inside] = [a - solve_A(a) for a in arr[~inside]]
+            out[~inside] = [_solve_x(a) ** 2 for a in arr[~inside]]
+            if not np.all(out > 0.0):
+                raise NumericError("alpha - A(alpha) underflows to 0 below "
+                                   "alpha = 1.4e-162")
         return out
 
 

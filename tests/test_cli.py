@@ -45,6 +45,31 @@ class TestSolveA:
         assert all(b > a for a, b in zip(a_col, a_col[1:]))
         assert (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--alpha", "1.7976931348623157e308"],
+                                       ["--grid", "1e3:1e300:50"]])
+    def test_top_of_float_range_is_finite(self, flags, capsys):
+        assert cli.main(["solve-a", *flags]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == (1 if flags[0] == "--alpha" else 50)
+        assert all(math.isfinite(float(cell))
+                   for row in rows for cell in row.split(","))
+
+    def test_large_alpha_matches_high_precision(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        assert cli.main(["solve-a", "--alpha", "1e8"]) == 0
+        a_value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        with mpmath.workdps(50):
+            alpha = mpmath.mpf(10) ** 8
+
+            def residual(a):
+                x = mpmath.sqrt(alpha - a)
+                r = (mpmath.sqrt(mpmath.pi) * x * mpmath.exp(x * x)
+                     * mpmath.erfc(x))
+                return (2 * alpha + 1) * (1 - r) - 1
+
+            exact = mpmath.findroot(residual, 1 - 1.5 / alpha)
+        assert abs(a_value / float(exact) - 1.0) <= 1e-15
+
     def test_negative_alpha_is_usage_error(self):
         assert cli.main(["solve-a", "--alpha", "-1"]) == 2
 

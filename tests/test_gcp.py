@@ -172,6 +172,14 @@ class TestPrognostic:
         assert v_st[0] == gcp.STUDENT_VARIANCE_INFINITE
         assert math.isfinite(v_p[0]) and v_p[0] > 0
 
+    @pytest.mark.parametrize("alpha", [1e9, 1e300])
+    def test_finite_at_large_alpha(self, alpha):
+        # the table hands these to the direct solve, which has no upper
+        # limit below the largest double
+        v_p, v_st = variances_at(1.0, alpha, 1.0)
+        assert math.isfinite(v_p[0]) and v_p[0] > 0
+        np.testing.assert_allclose(v_p, v_st, rtol=1e-6)
+
     def test_corrected_always_below_student(self):
         # alpha - A(alpha) > alpha - 1 for every alpha, so the corrected
         # variance never exceeds the plain Student one when both exist
@@ -193,6 +201,12 @@ class TestCorrectionConstants:
     def test_limit_of_b_at_small_alpha(self):
         c = gcp.correction_constants(1e-4)
         np.testing.assert_allclose(c.b, 2.000254643318176, rtol=1e-9)
+
+    def test_b_at_large_alpha_matches_high_precision(self):
+        # 2 alpha / A(alpha) at alpha = 1e4 from 40-digit mpmath; the
+        # slope's former (R (1 + s) - s) / 2 form lost 2e-8 of it here
+        np.testing.assert_allclose(gcp.correction_constants(1e4).b,
+                                   20002.999700134919808, rtol=1e-12)
 
     def test_b_is_alpha_over_a_exactly(self):
         for alpha in (0.5, 2.0, 7.0, 80.0):

@@ -14,6 +14,29 @@ from gcpnet import gcp
 from gcpnet import special as sp
 
 
+def _mp_gap_and_a(alpha):
+    """(alpha - A, A) by Newton in ln x on mpmath's alpha(x), where x =
+    sqrt(alpha - A), with the digits that A's cancellation and exp(x^2)
+    cost at large alpha."""
+    import mpmath
+    digits = max(0, int(math.log10(alpha)))
+    with mpmath.workdps(40 + 3 * digits):
+        a = mpmath.mpf(alpha)
+        u = mpmath.log(min(mpmath.sqrt(a), 2 * a / mpmath.sqrt(mpmath.pi)))
+        for _ in range(60):
+            x = mpmath.exp(u)
+            r = mpmath.sqrt(mpmath.pi) * x * mpmath.exp(x * x) * mpmath.erfc(x)
+            c = 1 - r
+            step = mpmath.log(r / (2 * c * a)) * r * c / (r - 2 * x * x * c)
+            u -= step
+            if abs(step) < mpmath.mpf(10) ** (-25 - digits):
+                break
+        else:
+            raise AssertionError(f"reference did not converge at {alpha}")
+        x = mpmath.exp(u)
+        return float(x * x), float(a - x * x)
+
+
 class TestDigamma:
     def test_recurrence(self):
         # psi(x+1) = psi(x) + 1/x on both halves of the gap; the gap is a
@@ -63,16 +86,32 @@ class TestDigamma:
 
 class TestErfcx:
     def test_matches_high_precision(self):
-        # every one of Cody's three ranges and both of their boundaries
+        # both of Cody's ranges and their boundaries; from 4 on the
+        # continued fraction takes over, checked below
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        xs = np.concatenate([np.linspace(0.0, 50.0, 2001),
-                             [0.46875, np.nextafter(0.46875, 1.0), 4.0,
-                              np.nextafter(4.0, 5.0), 1e3, 1e8]])
+        xs = np.concatenate([np.linspace(0.0, 4.0, 2001),
+                             [0.46875, np.nextafter(0.46875, 1.0), 4.0]])
         for x in map(float, xs):
             exact = float(mpmath.exp(mpmath.mpf(x) ** 2)
                           * mpmath.erfc(mpmath.mpf(x)))
             assert abs(sp.erfcx(x) - exact) <= 6 * math.ulp(exact), x
+
+    def test_continued_fraction_beyond_four(self):
+        # R = sqrt(pi) x erfcx(x) from the continued fraction, from just
+        # above x = 4 to x = 1e150 (alpha = 1e300)
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.concatenate([np.linspace(4.0, 50.0, 401),
+                             [np.nextafter(4.0, 5.0), 1e3, 1e8, 1e150]])
+        for x in map(float, xs):
+            s = 2.0 * x * x
+            # exp(x^2) needs the digits of x^2 on top of the 40 kept
+            with mpmath.workdps(40 + 2 * int(math.log10(x))):
+                half = mpmath.sqrt(mpmath.mpf(s) / 2)
+                exact = float(mpmath.sqrt(mpmath.pi) * half
+                              * mpmath.exp(half ** 2) * mpmath.erfc(half))
+            got = sp.rational_mean_complement(s)
+            assert abs(got - exact) <= 2 * math.ulp(exact), x
 
 
 class TestQuadratureRules:
@@ -223,16 +262,21 @@ class TestRationalMeanComplement:
 
 
 class TestWeightedSquareMean:
+    # W = E[s y^2/(s + y^2)^2] enters log_gap_slope as R (1 - R) / W
     def test_matches_quadrature(self):
         r = sp.hermite_rule(512)
         for s in (0.3, 2.762267226684, 40.0):
             quad = sp.gauss_weighted_integral(
                 lambda y: s * y * y / (s + y * y) ** 2, r)
-            np.testing.assert_allclose(sp.weighted_square_mean(s), quad,
+            big_r = sp.rational_mean_complement(s)
+            np.testing.assert_allclose(sp.log_gap_slope(s),
+                                       big_r * (1.0 - big_r) / quad,
                                        rtol=1e-8)
 
     def test_zero_at_origin(self):
-        assert sp.weighted_square_mean(0.0) == 0.0
+        # W and R vanish together at s = 0, where the slope's limit is 2
+        assert sp.rational_mean_complement(0.0) == 0.0
+        assert sp.log_gap_slope(0.0) == 2.0
 
 
 class TestSolveA:
@@ -276,13 +320,37 @@ class TestSolveA:
         a = sp.solve_A(alpha)
         assert 0.0 < a < min(1.0, alpha)
 
+    @given(st.floats(min_value=-100.0,
+                     max_value=math.log10(1.7e308)).map(lambda e: 10.0 ** e))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_contract_over_the_float_range(self, alpha):
+        # A < min(1, alpha) always, but its double rounds onto the bound
+        # once the distance, 3/(2 alpha) from 1 or (4/pi) alpha^2 from
+        # alpha, falls below half an ulp: above about 3e16, below 4e-17
+        a = sp.solve_A(alpha)
+        assert 0.0 < a <= min(1.0, alpha)
+        assert a < min(1.0, alpha) or not 1e-15 < alpha < 1e15
+        x = sp._solve_x(alpha)
+        assert 0.0 < x * x < math.inf
+        assert abs(sp._gap_state(x)[2] - alpha) <= 8 * math.ulp(alpha)
+
+    def test_matches_high_precision_over_the_float_range(self):
+        # the solved gap and A from 1e-100 to the top of the float range,
+        # against a 40-digit-plus reference
+        pytest.importorskip("mpmath")
+        for alpha in map(float, np.geomspace(1e-100, 1.7e308, 400)):
+            gap, a = _mp_gap_and_a(alpha)
+            assert abs(sp._solve_x(alpha) ** 2 / gap - 1.0) <= 2e-15, alpha
+            assert abs(sp.solve_A(alpha) / a - 1.0) <= 5e-15, alpha
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             sp.solve_A(0.0)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_rejects_nonfinite_alpha(self, alpha):
-        # the limit A(inf) = 1 is no root a bisection can find
+        # A(inf) = 1 is a limit, not a root: Newton in ln x has no finite
+        # start there
         with pytest.raises(ValueError, match="finite"):
             sp.solve_A(alpha)
 
@@ -324,10 +392,12 @@ class TestAlphaTable:
                                    rtol=1e-6)
 
     def test_outside_range_falls_back_to_direct_solve(self):
+        # against mpmath: alpha - solve_A(alpha) itself cancels at 1e-4
+        pytest.importorskip("mpmath")
         tab = sp.alpha_table()
         for alpha in (1e-4, 5e3):
             np.testing.assert_allclose(tab.gap_many([alpha])[0],
-                                       alpha - sp.solve_A(alpha), rtol=1e-13)
+                                       _mp_gap_and_a(alpha)[0], rtol=1e-13)
 
     def test_gap_many_matches_scalar_path(self):
         # a 0-d call is one point of the array path, bitwise, inside the
@@ -342,6 +412,16 @@ class TestAlphaTable:
         np.testing.assert_array_equal(got, ref)
         # so scalar prognostic variances work too
         assert np.isfinite(gcp.prognostic_variances(1.0, 2.0, 1.0)).all()
+
+    def test_gap_many_increases_across_the_float_range(self):
+        gaps = sp.alpha_table().gap_many(np.geomspace(1e-100, 1e300, 1000))
+        assert np.all(np.isfinite(gaps))
+        assert np.all(np.diff(gaps) > 0.0)
+
+    def test_gap_underflow_is_a_numeric_error(self):
+        # alpha - A ~ (4/pi) alpha^2 rounds to 0 below alpha = 1.4e-162
+        with pytest.raises(sp.NumericError, match="underflows"):
+            sp.alpha_table().gap_many([1.0, 1e-170])
 
     def test_gap_many_rejects_nonpositive(self):
         tab = sp.alpha_table()
