@@ -31,49 +31,136 @@ EXIT_NUMERIC = 3
 EXIT_PRECONDITION = 4
 
 
-class UsageError(ValueError):
-    """Malformed or out-of-domain flag value detected after parsing."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Malformed or out-of-domain flag value.  Raised by a flag's type,
+    argparse prints it after the flag's name."""
 
 
-# per-dataset training settings; ensembles reuse them with half dropout
-PRESETS = {
-    "boston-gcp": {"learning_rate": 1e-4, "dropout": 0.3, "epochs": 700,
-                   "batch_size": 5},
-    "concrete-gcp": {"learning_rate": 1e-4, "dropout": 0.1, "epochs": 1000,
-                     "batch_size": 5},
-    "power-gcp": {"learning_rate": 5e-5, "dropout": 0.0, "epochs": 150,
-                  "batch_size": 10},
-    "yacht-gcp": {"learning_rate": 1e-3, "dropout": 0.1, "epochs": 1000,
-                  "batch_size": 5},
-    "kin8nm-gcp": {"learning_rate": 7e-4, "dropout": 0.0, "epochs": 250,
-                   "batch_size": 10},
-    "synthetic": {"learning_rate": 1e-3, "dropout": 0.0, "epochs": 1000,
-                  "batch_size": 20},
+class Domain:
+    """A setting's allowed values, declared once: as an argparse type it
+    parses a flag's text, and `check` takes a --config JSON value.  NaN
+    fails every domain, and so does infinity, which none includes."""
+
+    # phrase -> (type, lo, whether lo is allowed, hi); hi never is
+    BOUNDS = {**{f"at least {k}": (int, k, True, math.inf) for k in range(3)},
+              "positive and finite": (float, 0.0, False, math.inf),
+              "finite": (float, -math.inf, False, math.inf),
+              "in [0, 1)": (float, 0.0, True, 1.0),
+              "in (0, 1)": (float, 0.0, False, 1.0)}
+
+    def __init__(self, name, phrase, default=None, help=None):
+        self.name, self.phrase, self.default = name, phrase, default
+        self.kind, self.lo, self.closed, self.hi = self.BOUNDS[phrase]
+        self.help = (f"{help}; " if help else "") + (
+            f"{'integer' if self.kind is int else 'number'} {phrase}"
+            + ("" if default is None else f" (default {default})"))
+
+    def __call__(self, text):
+        """argparse type: the flag's text as the domain's type, checked."""
+        with contextlib.suppress(ValueError):
+            text = self.kind(text)
+        return self.check(text)
+
+    def check(self, value):
+        """`value`, or a UsageError naming the setting; a float setting
+        takes a JSON integer, widened, an integer one only an integer."""
+        if type(value) is int and self.kind is float:
+            with contextlib.suppress(OverflowError):
+                value = float(value)
+        typed = type(value) is self.kind
+        if typed and (self.lo < value or self.closed and value == self.lo) \
+                and value < self.hi:
+            return value
+        what = (self.phrase if typed
+                else "an integer" if self.kind is int else "a number")
+        raise UsageError(f"{self.name} must be {what}, got {value!r}")
+
+
+class Numbers:
+    """A comma list of numbers as an argparse type: one per item of the
+    tuple `items`, a Domain or the name of a field that the library type
+    the command builds checks; or, for one Domain, any number of them."""
+
+    default = None
+
+    def __init__(self, name, items, distinct=False):
+        self.name, self.items, self.distinct = name, items, distinct
+        if isinstance(items, Domain):
+            self.help = (f"numbers each {items.phrase}"
+                         + ", none twice" * distinct)
+        else:
+            self.help = f"{len(items)} numbers " + ", ".join(
+                i if isinstance(i, str) else f"{i.name} {i.phrase}"
+                for i in items)
+        self.help += ", comma-separated"
+
+    def __call__(self, text):
+        try:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            values = []
+        items = (self.items if isinstance(self.items, tuple)
+                 else (self.items,) * max(len(values), 1))
+        if len(values) != len(items) or (
+                self.distinct and len(set(values)) < len(values)):
+            raise UsageError(f"{self.name} must be {self.help}, "
+                             f"got {text!r}")
+        return [value if isinstance(item, str) else item.check(value)
+                for item, value in zip(items, values)]
+
+
+# per-dataset (learning_rate, dropout, epochs, batch_size); ensembles
+# reuse them with half dropout
+PRESETS = {name: dict(zip(("learning_rate", "dropout", "epochs",
+                           "batch_size"), values))
+           for name, values in {"boston-gcp": (1e-4, 0.3, 700, 5),
+                                "concrete-gcp": (1e-4, 0.1, 1000, 5),
+                                "power-gcp": (5e-5, 0.0, 150, 10),
+                                "yacht-gcp": (1e-3, 0.1, 1000, 5),
+                                "kin8nm-gcp": (7e-4, 0.0, 250, 10),
+                                "synthetic": (1e-3, 0.0, 1000, 20)}.items()}
+
+# every value-taking flag whose domain no library type declares -> that
+# domain.  The entries with a default are train's and bench's settings,
+# which a --preset or --config may also set; the flag's value lands under
+# the setting's name
+FLAGS = {
+    "--lr": Domain("learning_rate", "positive and finite", 1e-3),
+    "--dropout": Domain("dropout", "in [0, 1)", 0.0),
+    "--epochs": Domain("epochs", "at least 1", 100),
+    "--batch-size": Domain("batch_size", "at least 1", 20),
+    "--hidden": Domain("hidden", "at least 1", 50, "hidden units per head"),
+    "--seed": Domain("seed", "at least 0", 0),
+    "--n": Domain("n", "at least 2", 400, "synthetic training-set size"),
+    "--test-n": Domain("test_n", "at least 2", 200, "synthetic test-set size"),
+    "--train-fraction": Domain("train_fraction", "in (0, 1)", 0.95,
+                               "share of CSV rows used for training"),
+    "--contamination": Domain("contamination", "in [0, 1)", 0.0, "share "
+                              "of training targets replaced after the split"),
+    "--outlier-prob": Domain("outlier_prob", "in [0, 1)", 0.05,
+                             "synthetic generator's own outlier share"),
+    "--members": Domain("members", "at least 1", 5, "ensemble size"),
+    "--fractions": Numbers("fractions", Domain("fractions", "in [0, 1)"),
+                           distinct=True),
+    "--repeats": Domain("repeats", "at least 1"),
+    "--jobs": Domain("jobs", "at least 1", help="recorded in "
+                     "manifest.json; cells run serially"),
+    "--alpha": Domain("alpha", "positive and finite"),
+    "--nodes": Domain("nodes", "at least 2", help="quadrature nodes override"),
+    "--gaussian-outliers": Numbers("gaussian_outliers", ("m_o", "v_o")),
+    "--uniform-outliers": Numbers("uniform_outliers", ("lo", "hi")),
+    "--state": Numbers("state", ("m", "nu", "alpha", "beta")),
+    "--t-end": Domain("t_end", "positive and finite"),
+    "--settle-tol": Domain("settle_tol", "positive and finite"),
+    "--escape-bound": Domain("escape_bound", "positive and finite"),
+    "--guess": Numbers("guess", (Domain("m", "finite"),
+                                 Domain("alpha", "positive and finite"),
+                                 Domain("sigma", "positive and finite"))),
+    "--eps": Numbers("eps", Domain("eps", "in [0, 1)")),
 }
 
-TRAIN_DEFAULTS = {
-    "learning_rate": 1e-3, "dropout": 0.0, "epochs": 100, "batch_size": 20,
-    "hidden": 50, "seed": 0, "n": 400, "test_n": 200, "train_fraction": 0.95,
-    "contamination": 0.0, "outlier_prob": 0.05, "members": 5,
-}
-
-# setting -> (flag, help); each flag parses with its default's type
-TRAIN_FLAGS = {
-    "learning_rate": ("--lr", None),
-    "dropout": ("--dropout", None),
-    "epochs": ("--epochs", None),
-    "batch_size": ("--batch-size", None),
-    "hidden": ("--hidden", None),
-    "seed": ("--seed", None),
-    "n": ("--n", "synthetic training-set size"),
-    "test_n": ("--test-n", "synthetic test-set size"),
-    "train_fraction": ("--train-fraction", None),
-    "contamination": ("--contamination", "fraction of training targets "
-                      "replaced by wild draws after splitting"),
-    "outlier_prob": ("--outlier-prob", "synthetic generator's own outlier "
-                     "probability"),
-    "members": ("--members", "ensemble size"),
-}
+TRAIN_SETTINGS = {d.name: d for d in FLAGS.values() if d.default is not None}
+TRAIN_DEFAULTS = {name: d.default for name, d in TRAIN_SETTINGS.items()}
 
 
 def _cell(value):
@@ -114,47 +201,31 @@ def _manifest(out, command, payload, outputs):
     _write_json(out / "manifest.json", doc)
 
 
-def _parse_floats(text, name, count=None):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{name} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise UsageError(f"{name} is empty")
-    if count is not None and len(values) != count:
-        raise UsageError(f"{name} expects {count} numbers, got {len(values)}")
-    return values
+GRID = "lo:hi:n with finite 0 < lo < hi and integer n >= 1"
 
 
 def _parse_range(text, name):
-    """lo:hi:n syntax for a geometric grid of positive values."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"{name} expects lo:hi:n, got {text!r}")
+    """lo:hi:n syntax for a geometric grid of positive values; range flags
+    keep their text, which manifests record."""
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise UsageError(f"{name} expects lo:hi:n, got {text!r}")
+        lo = hi = n = 0
     if n < 1 or not 0.0 < lo < hi < math.inf:
-        raise UsageError(f"{name} needs finite 0 < lo < hi and n >= 1")
+        raise UsageError(f"{name} must be {GRID}, got {text!r}")
     return np.geomspace(lo, hi, n)
 
 
 def _contamination_spec(args, epsilon):
-    # every dynamics command builds its mixture here first; uniform
-    # outliers get half the nodes, so fewer than 2 leaves them none.
-    # dynamics is imported by its commands only, to keep the others'
-    # start-up short
+    # every dynamics command builds its mixture here first, and the
+    # mixture's type is the one domain of its flags.  dynamics is imported
+    # by its commands only, to keep the others' start-up short
     from . import dynamics as dyn
 
-    if args.nodes is not None and args.nodes < 2:
-        raise UsageError(f"--nodes must be at least 2, got {args.nodes}")
-    if args.uniform_outliers is not None:
-        lo, hi = _parse_floats(args.uniform_outliers, "--uniform-outliers", 2)
-        outlier = ("uniform", lo, hi)
-    else:
-        m_o, v_o = _parse_floats(args.gaussian_outliers, "--gaussian-outliers", 2)
-        outlier = ("gaussian", m_o, v_o)
+    outlier = (("uniform", *args.uniform_outliers)
+               if args.uniform_outliers is not None
+               else ("gaussian", *args.gaussian_outliers))
     try:
         return dyn.ContaminationSpec(epsilon=epsilon, m_g=args.m_g,
                                      v_g=args.v_g, outlier=outlier)
@@ -168,15 +239,10 @@ def _contamination_spec(args, epsilon):
 
 
 def cmd_solve_a(args):
-    if (args.alpha is None) == (args.grid is None):
-        raise UsageError("provide exactly one of --alpha or --grid")
-    if args.alpha is not None:
-        alphas = [args.alpha]
-    else:
-        alphas = list(_parse_range(args.grid, "--grid"))
+    alphas = ([args.alpha] if args.alpha is not None
+              else _parse_range(args.grid, "--grid"))
     rows = []
     for alpha in map(float, alphas):
-        # solve_A's ValueError on a non-positive alpha is a usage error
         value = solve_A(alpha)
         approx = alpha / (alpha + 1.5)
         rows.append((alpha, value, approx, value - approx,
@@ -196,21 +262,6 @@ def cmd_solve_a(args):
 # train
 
 
-def _typed_override(key, value):
-    """A --config value checked against the type of its default: integer
-    settings take JSON integers, the others take finite numbers."""
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(TRAIN_DEFAULTS[key], int):
-        if numeric and isinstance(value, int):
-            return value
-        raise UsageError(f"config key {key!r} expects an integer, "
-                         f"got {value!r}")
-    if numeric and math.isfinite(value):
-        return float(value)
-    raise UsageError(f"config key {key!r} expects a finite number, "
-                     f"got {value!r}")
-
-
 def _resolve_train_config(args):
     resolved = dict(TRAIN_DEFAULTS)
     if args.command == "bench":
@@ -218,47 +269,25 @@ def _resolve_train_config(args):
         # outliers are off unless asked for
         resolved["outlier_prob"] = 0.0
     if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}; choose from "
-                             f"{sorted(PRESETS)}")
         resolved.update(PRESETS[args.preset])
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read --config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--config is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read --config as JSON: {exc}")
         if not isinstance(overrides, dict):
             raise UsageError("--config must hold a JSON object")
         unknown = set(overrides) - set(resolved)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        resolved.update((key, _typed_override(key, value))
-                        for key, value in overrides.items())
+        try:
+            resolved.update((key, TRAIN_SETTINGS[key].check(value))
+                            for key, value in overrides.items())
+        except UsageError as exc:
+            raise UsageError(f"--config: {exc}")
     resolved.update((key, getattr(args, key)) for key in TRAIN_DEFAULTS
                     if getattr(args, key) is not None)
-    if not 0.0 <= resolved["contamination"] < 1.0:
-        raise UsageError("contamination must lie in [0, 1)")
-    if resolved["members"] < 1:
-        raise UsageError("members must be at least 1")
-    if resolved["hidden"] < 1:
-        raise UsageError("hidden must be at least 1")
-    if not 0.0 <= resolved["dropout"] < 1.0:
-        raise UsageError("dropout must lie in [0, 1)")
-    if not 0.0 < resolved["train_fraction"] < 1.0:
-        raise UsageError("train_fraction must lie in (0, 1)")
-    if not 0.0 < resolved["learning_rate"] < math.inf:
-        raise UsageError("learning_rate must be positive and finite")
-    if resolved["seed"] < 0:
-        raise UsageError("seed must be at least 0")
-    if resolved["n"] < 2:
-        raise UsageError("n must be at least 2: normalization needs two "
-                         "training rows")
-    if resolved["test_n"] < 2:
-        raise UsageError("test_n must be at least 2: the rejection curve "
-                         "needs two test samples")
     return resolved
 
 
@@ -266,13 +295,13 @@ def _prepare_splits(source, resolved):
     """Split, contaminate (training side only), and normalize a data source.
 
     Returns (train_normalized, test_normalized, test_original)."""
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     if source == "synthetic":
         train_raw = dat.generate_synthetic(dat.SyntheticSpec(
-            n=int(resolved["n"]), outlier_prob=resolved["outlier_prob"],
+            n=resolved["n"], outlier_prob=resolved["outlier_prob"],
             seed=seed))
         test_raw = dat.generate_synthetic(dat.SyntheticSpec(
-            n=int(resolved["test_n"]), outlier_prob=0.0, seed=seed + 1))
+            n=resolved["test_n"], outlier_prob=0.0, seed=seed + 1))
     else:
         full = dat.load_csv(source)
         train_raw, test_raw = dat.split(full, resolved["train_fraction"],
@@ -301,15 +330,14 @@ def _fit_model(train_norm, resolved, model_kind):
     from . import net
 
     cfg = net.TrainConfig(learning_rate=resolved["learning_rate"],
-                          epochs=int(resolved["epochs"]),
-                          batch_size=int(resolved["batch_size"]),
-                          seed=int(resolved["seed"]))
+                          epochs=resolved["epochs"],
+                          batch_size=resolved["batch_size"],
+                          seed=resolved["seed"])
     x, y = train_norm.features, train_norm.targets
-    hidden = int(resolved["hidden"])
-    dropout = float(resolved["dropout"])
+    hidden, dropout = resolved["hidden"], resolved["dropout"]
     if model_kind == "ensemble":
         ensemble, _ = net.train_ensemble(
-            train_norm.dim, x, y, cfg, n_members=int(resolved["members"]),
+            train_norm.dim, x, y, cfg, n_members=resolved["members"],
             hidden=hidden, dropout=dropout)
         return ensemble
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -319,8 +347,12 @@ def _fit_model(train_norm, resolved, model_kind):
     return model
 
 
+# the outputs are checked below, so numpy's overflow warnings would only
+# come before the typed error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _predict_original_scale(model, model_kind, test_norm, stats):
-    """Per-sample (mean, v_p, v_st, alpha) mapped back to the target scale."""
+    """Per-sample (mean, v_p, v_st, alpha) mapped back to the target scale;
+    a non-finite mean or v_p (v_st may be inf) is a NumericError."""
     from . import net
 
     x = test_norm.features
@@ -334,6 +366,8 @@ def _predict_original_scale(model, model_kind, test_norm, stats):
         mean_n, v_p_n, v_st_n, alpha = net.prognostic_arrays(model, x)
     mean, v_p = stats.inverse_mean_variance(mean_n, v_p_n)
     _, v_st = stats.inverse_mean_variance(mean_n, v_st_n)
+    if not (np.isfinite(mean).all() and np.isfinite(v_p).all()):
+        raise NumericError("non-finite mean or v_p at prediction")
     return mean, v_p, v_st, alpha
 
 
@@ -381,18 +415,13 @@ def cmd_train(args):
 def cmd_dynamics_simulate(args):
     from . import dynamics as dyn
 
-    for flag, value in (("--t-end", args.t_end),
-                        ("--settle-tol", args.settle_tol),
-                        ("--escape-bound", args.escape_bound)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise UsageError(f"{flag} must be positive and finite, got {value}")
     spec = _contamination_spec(args, args.epsilon)
     if spec.epsilon > 0.0 and dyn.indicators(spec).c_go <= 0.0:
         print("warning: outlier indicator c_go <= 0; the trajectory may "
               "not settle at a finite equilibrium", file=sys.stderr)
     if args.state is not None:
         # a non-finite or non-positive field is a usage error (exit 2)
-        state = dyn.GcpParams(*_parse_floats(args.state, "--state", 4))
+        state = dyn.GcpParams(*args.state)
     else:
         state = dyn.default_state(spec)
     traj = dyn.integrate(state, spec, t_end=args.t_end, nodes=args.nodes,
@@ -418,15 +447,7 @@ def cmd_dynamics_equilibrium(args):
     from . import dynamics as dyn
 
     spec = _contamination_spec(args, args.epsilon)
-    guess = None
-    if args.guess is not None:
-        guess = tuple(_parse_floats(args.guess, "--guess", 3))
-        m, alpha, sigma = guess
-        if not (math.isfinite(m) and 0.0 < alpha < math.inf
-                and 0.0 < sigma < math.inf):
-            raise UsageError(f"--guess needs a finite m and positive, finite "
-                             f"alpha and sigma, got {args.guess!r}")
-    payload = dataclasses.asdict(dyn.equilibrium(spec, guess=guess,
+    payload = dataclasses.asdict(dyn.equilibrium(spec, guess=args.guess,
                                                  nodes=args.nodes))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
@@ -441,19 +462,15 @@ def cmd_dynamics_equilibrium(args):
 def cmd_dynamics_sweep(args):
     from . import dynamics as dyn
 
-    eps_values = _parse_floats(args.eps, "--eps")
-    for eps in eps_values:
-        if not 0.0 <= eps < 1.0:
-            raise UsageError(f"--eps values must lie in [0, 1), got {eps}")
-    spec0 = _contamination_spec(args, max(eps_values))
+    spec0 = _contamination_spec(args, max(args.eps))
     ind = dyn.check_condition(spec0)
-    if min(eps_values) <= 0.0:
+    if min(args.eps) <= 0.0:
         raise ConditionError("epsilon must be positive: without "
                              "contamination there is no finite "
                              "equilibrium branch")
     m_o = dyn.outlier_moments(spec0)["mean"]
     alpha_limit = 3.0 * spec0.v_g**2 / ind.c_go
-    pairs = dyn.equilibrium_sweep(eps_values, m_g=args.m_g, v_g=args.v_g,
+    pairs = dyn.equilibrium_sweep(args.eps, m_g=args.m_g, v_g=args.v_g,
                                   outlier=spec0.outlier, nodes=args.nodes)
     rows = []
     for eps, eq in pairs:
@@ -468,7 +485,7 @@ def cmd_dynamics_sweep(args):
     out = _ensure_out(args)
     _write_csv(out / "sweep.csv", header, rows)
     _manifest(out, "dynamics sweep",
-              {"spec": dataclasses.asdict(spec0), "eps": eps_values,
+              {"spec": dataclasses.asdict(spec0), "eps": args.eps,
                "alpha_limit": alpha_limit},
               ["sweep.csv"])
     _write_csv(None, header, rows)
@@ -522,23 +539,12 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
 
 def cmd_bench(args):
     resolved = _resolve_train_config(args)
-    fractions = _parse_floats(args.fractions, "--fractions")
-    for i, f in enumerate(fractions):
-        if not 0.0 <= f < 1.0:
-            raise UsageError(f"contamination fraction must lie in [0, 1), "
-                             f"got {f}")
-        if f in fractions[:i]:
-            raise UsageError(f"--fractions lists {f} twice")
-    repeats = args.repeats
-    if repeats < 1:
-        raise UsageError("--repeats must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+    fractions, repeats = args.fractions, args.repeats
     long_rows = []
     for fi, fraction in enumerate(fractions):
         for rep in range(repeats):
             job_seed = int(np.random.SeedSequence(
-                entropy=int(resolved["seed"]),
+                entropy=resolved["seed"],
                 spawn_key=(fi * repeats + rep,)).generate_state(1)[0])
             long_rows.extend(
                 (fraction, rep, job_seed, model, rmse_v, auc_v)
@@ -584,17 +590,23 @@ def cmd_bench(args):
 # parser
 
 
+def _add(sub, flag, **kwargs):
+    """`flag`, with its domain in FLAGS as type and --help text."""
+    domain = FLAGS[flag]
+    sub.add_argument(flag, type=domain, dest=domain.name, help=domain.help,
+                     **kwargs)
+
+
 def _add_train_flags(sub):
     sub.add_argument("data", help="'synthetic' or a CSV path with the "
                      "target in the last column")
-    sub.add_argument("--preset", default=None, help="named hyperparameter "
-                     f"bundle: {', '.join(sorted(PRESETS))}")
-    sub.add_argument("--config", default=None,
-                     help="JSON file overriding resolved settings")
-    for key, (flag, text) in TRAIN_FLAGS.items():
-        sub.add_argument(flag, type=type(TRAIN_DEFAULTS[key]), default=None,
-                         dest=key, metavar=flag[2:].replace("-", "_").upper(),
-                         help=text)
+    sub.add_argument("--preset", choices=sorted(PRESETS),
+                     help="named hyperparameter bundle")
+    sub.add_argument("--config", help="JSON file overriding resolved "
+                     "settings, each in its flag's domain")
+    for flag, domain in FLAGS.items():
+        if domain.default is not None:
+            _add(sub, flag)
     sub.add_argument("--out", required=True, help="output directory")
 
 
@@ -603,12 +615,9 @@ def _add_mixture_flags(sub, with_epsilon=True):
         sub.add_argument("--epsilon", type=float, required=True)
     sub.add_argument("--m-g", type=float, default=0.0, dest="m_g")
     sub.add_argument("--v-g", type=float, default=1.0, dest="v_g")
-    sub.add_argument("--gaussian-outliers", default="5,1",
-                     dest="gaussian_outliers", help="m_o,v_o")
-    sub.add_argument("--uniform-outliers", default=None,
-                     dest="uniform_outliers", help="lo,hi")
-    sub.add_argument("--nodes", type=int, default=None,
-                     help="quadrature nodes override")
+    _add(sub, "--gaussian-outliers", default="5,1")
+    _add(sub, "--uniform-outliers")
+    _add(sub, "--nodes")
 
 
 @functools.lru_cache(maxsize=None)
@@ -618,13 +627,14 @@ def _build_parser():
         prog="gcpnet",
         description="Robust regression with normal-gamma belief networks "
                     "and their training-dynamics laboratory.")
-    subs = parser.add_subparsers(dest="command")
+    subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve-a", help="solve the variance-gap "
                             "equation for A(alpha)")
-    solve.add_argument("--alpha", type=float, default=None)
-    solve.add_argument("--grid", default=None, help="lo:hi:n")
-    solve.add_argument("--out", default=None)
+    which = solve.add_mutually_exclusive_group(required=True)
+    _add(which, "--alpha")
+    which.add_argument("--grid", help=GRID)
+    solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve_a)
 
     train = subs.add_parser("train", help="fit a network and write "
@@ -639,31 +649,28 @@ def _build_parser():
 
     dynamics = subs.add_parser("dynamics", help="training-dynamics flow "
                                "tools")
-    dsubs = dynamics.add_subparsers(dest="subcommand")
+    dsubs = dynamics.add_subparsers(dest="subcommand", required=True)
 
     sim = dsubs.add_parser("simulate", help="integrate the flow and write "
                            "the trajectory")
     _add_mixture_flags(sim)
-    sim.add_argument("--state", default=None, help="m,nu,alpha,beta start")
-    sim.add_argument("--t-end", type=float, default=200.0, dest="t_end")
-    sim.add_argument("--settle-tol", type=float, default=None,
-                     dest="settle_tol")
-    sim.add_argument("--escape-bound", type=float, default=None,
-                     dest="escape_bound")
+    _add(sim, "--state")
+    _add(sim, "--t-end", default=200.0)
+    _add(sim, "--settle-tol")
+    _add(sim, "--escape-bound")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_dynamics_simulate)
 
     eq = dsubs.add_parser("equilibrium", help="certify a finite rest point")
     _add_mixture_flags(eq)
-    eq.add_argument("--guess", default=None, help="m,alpha,sigma start")
-    eq.add_argument("--out", default=None)
+    _add(eq, "--guess")
+    eq.add_argument("--out")
     eq.set_defaults(func=cmd_dynamics_equilibrium)
 
     sweep = dsubs.add_parser("sweep", help="equilibrium branch over an "
                              "epsilon grid with asymptotic ratios")
     _add_mixture_flags(sweep, with_epsilon=False)
-    sweep.add_argument("--eps", required=True,
-                       help="comma-separated epsilon grid")
+    _add(sweep, "--eps", required=True)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_dynamics_sweep)
 
@@ -672,24 +679,19 @@ def _build_parser():
     _add_mixture_flags(field)
     field.add_argument("--m", type=float, default=None,
                        help="mean coordinate (defaults to m_g)")
-    field.add_argument("--alpha-range", default="0.5:50:12",
-                       dest="alpha_range")
-    field.add_argument("--sigma-range", default="0.5:50:12",
-                       dest="sigma_range")
+    field.add_argument("--alpha-range", default="0.5:50:12", help=GRID)
+    field.add_argument("--sigma-range", default="0.5:50:12", help=GRID)
     field.add_argument("--out", required=True)
     field.set_defaults(func=cmd_dynamics_field)
 
     bench = subs.add_parser("bench", help="contamination-fraction benchmark "
                             "over repeated splits")
     _add_train_flags(bench)
-    bench.add_argument("--fractions", default="0,0.05,0.10,0.15,0.20")
-    bench.add_argument("--repeats", type=int, default=3)
+    _add(bench, "--fractions", default="0,0.05,0.10,0.15,0.20")
+    _add(bench, "--repeats", default=3)
     bench.add_argument("--ensemble", action="store_true",
                        help="also run the ensemble variant")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="at least 1 and recorded in manifest.json; "
-                       "cells run serially, because training holds the "
-                       "GIL and a thread pool only made them slower")
+    _add(bench, "--jobs", default=1)
     bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -701,9 +703,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ConditionError as exc:

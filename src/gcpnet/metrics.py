@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import NumericError
+
 
 @dataclass(frozen=True)
 class EvalCurve:
@@ -27,7 +29,8 @@ def rejection_curve(preds, variances, targets) -> EvalCurve:
 
     Rejection removes the highest-variance samples first.  An infinite
     variance is a valid tag meaning "reject me first"; it only ever enters
-    the sort key, never the averaged errors.
+    the sort key, never the averaged errors.  Squared errors whose sum
+    overflows are a NumericError.
     """
     p = np.asarray(preds, dtype=float)
     v = np.asarray(variances, dtype=float)
@@ -41,8 +44,11 @@ def rejection_curve(preds, variances, targets) -> EvalCurve:
         raise ValueError("variances must not contain NaN")
     # lexsort: primary key descending variance, secondary ascending index
     order = np.lexsort((np.arange(n), -v))
-    sq = (p - t)[order] ** 2
-    suffix = np.cumsum(sq[::-1])[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (p - t)[order] ** 2
+        suffix = np.cumsum(sq[::-1])[::-1]
+    if not np.isfinite(suffix[0]):
+        raise NumericError("the squared prediction errors overflow")
     kept = n - np.arange(n)
     curve = np.sqrt(suffix / kept)
     auc = float(np.trapezoid(curve) / (n - 1))

@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .gcp import (LOG_2PI, STUDENT_VARIANCE_INFINITE, nll_terms_arrays,
                   prognostic_variances)
-from .special import TrainingDiverged
+from .special import NumericError, TrainingDiverged
 
 POSITIVE_FLOOR = 1e-6
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -113,6 +113,16 @@ class MlpHead:
         out += self.b2[:, None]
         return out, (pre, h, mask)
 
+    def predict_heads(self, x):
+        """Eval-mode (K, B) raw head outputs; a non-finite one, which
+        trained weights that overflow give, is a NumericError."""
+        raw, _ = self.forward(x)
+        finite = np.isfinite(raw).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite {self.HEAD_NAMES[finite.argmin()]}"
+                               f" head output at prediction")
+        return raw
+
     def backward(self, x, cache, dout):
         """Fill `grad` with the gradient of sum(dout * out) for the forward
         pass that returned `cache`."""
@@ -154,7 +164,7 @@ class GcpNetwork(MlpHead):
 
     def predict_arrays(self, x):
         """Eval-mode belief parameters as four aligned arrays."""
-        raw, _ = self.forward(x)
+        raw = self.predict_heads(x)
         nu, alpha, beta = softplus(raw[1:])
         return raw[0], nu, alpha, beta
 
@@ -179,7 +189,7 @@ class GaussianNet(MlpHead):
 
     def predict_arrays(self, x):
         """Eval-mode (mean, variance) arrays."""
-        raw, _ = self.forward(x)
+        raw = self.predict_heads(x)
         return raw[0], np.exp(raw[1])
 
     def loss_and_head_grads(self, raw, y):

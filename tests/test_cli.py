@@ -3,14 +3,17 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import gcpnet
 from gcpnet import cli
 from gcpnet import data as dat
+from gcpnet import dynamics as dyn
 
 
 def read_csv(path):
@@ -272,6 +276,25 @@ class TestTrain:
         assert cli.main(["train", "synthetic", "--lr", "1e308",
                          "--epochs", "40", "--n", "60", "--test-n", "20",
                          "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "train synthetic", "train synthetic --baseline",
+        "train synthetic --ensemble --members 2",
+        "bench synthetic --fractions 0 --repeats 1",
+        # finite outputs whose squared errors overflow in the RMSE
+        "train synthetic --baseline --lr 1e100"])
+    def test_overflowing_prediction_exits_numeric(self, tmp_path, capsys,
+                                                  argv):
+        # one epoch at --lr 1e308 leaves weights whose outputs overflow;
+        # the training loop's checks came before that step.  No numpy
+        # warning may come first, since warnings are errors here.  An
+        # argv's own --lr comes later and wins
+        out = tmp_path / "o"
+        assert cli.main([*argv.split()[:2], "--epochs", "1", "--n", "20",
+                         "--test-n", "10", "--lr", "1e308",
+                         *argv.split()[2:], "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numeric failure")
         assert not out.exists()
 
@@ -613,6 +636,11 @@ USAGE_ERRORS = {
     "train synthetic --n 1": "n must be at least 2",
     "train {tmp}/rows3.csv --train-fraction 0.4": "leaves 1 of 3 rows for "
                                                   "training",
+    # refused while parsing, so argparse names the flag; the library used
+    # to refuse these only after generating the data
+    "train synthetic --epochs 0": "argument --epochs: epochs must be",
+    "train synthetic --batch-size 0": "argument --batch-size: batch_size",
+    "train synthetic --outlier-prob 1": "argument --outlier-prob: outlier_prob",
 }
 
 
@@ -724,16 +752,182 @@ MIXTURE_EDGES = st.sampled_from(["0", "1e-300", "-1e-300", "1e-50", "-1e-50",
        outliers=st.sampled_from(["--gaussian-outliers", "--uniform-outliers"]),
        pair=st.tuples(MIXTURE_EDGES, MIXTURE_EDGES))
 def test_mixture_flags_end_in_a_typed_exit(command, m_g, v_g, outliers, pair):
-    # "=" keeps argparse from reading a negative value as a flag; a numpy
-    # RuntimeWarning fails the test through the pytest filter
+    # "=" keeps argparse from reading a negative value as a flag
     with tempfile.TemporaryDirectory() as tmp:
-        out = pathlib.Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(["dynamics", *command, f"--m-g={m_g}",
-                             f"--v-g={v_g}", f"{outliers}={','.join(pair)}",
-                             "--out", str(out)])
-        assert code in (0, 2, 3, 4), err.getvalue()
-        assert "Traceback" not in err.getvalue()
-        assert code != 2 or not out.exists()
+        _typed_run(["dynamics", *command, f"--m-g={m_g}", f"--v-g={v_g}",
+                    f"{outliers}={','.join(pair)}"], pathlib.Path(tmp) / "out")
+
+
+def _typed_run(argv, out):
+    """cli.main(argv + --out) under the exit contract: exit 0, 2, 3 or 4,
+    no traceback, and no output directory after a usage error.  A numpy
+    RuntimeWarning fails the caller through the pytest filter.  Returns
+    (exit code, stdout)."""
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", str(out)])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code != 2 or not out.exists(), err.getvalue()
+    return code, stdout.getvalue()
+
+
+def _commands(parser, path=()):
+    """(subcommand path, parser) for every leaf command of the tree."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+COMMANDS = dict(_commands(cli._build_parser()))
+
+# flags each command always gets, so a run stays tiny (epochs, sizes,
+# repeats) or can run at all (required flags); a drawn flag overrides
+# them, and drops those of its mutually exclusive group
+SMALL_TRAIN = {"data": "synthetic", "--epochs": "1", "--n": "20",
+               "--test-n": "10", "--members": "2"}
+BASE_ARGV = {
+    ("solve-a",): {"--alpha": "2"},
+    ("train",): SMALL_TRAIN,
+    ("bench",): {**SMALL_TRAIN, "--fractions": "0", "--repeats": "1"},
+    ("dynamics", "simulate"): {"--epsilon": "0.05", "--t-end": "1"},
+    ("dynamics", "equilibrium"): {"--epsilon": "0.04"},
+    ("dynamics", "sweep"): {"--eps": "0.04,0.02"},
+    ("dynamics", "field"): {"--epsilon": "0.04", "--alpha-range": "0.5:50:3",
+                            "--sigma-range": "0.5:50:3"},
+}
+
+EDGES = ["0", "1", "-1", "2", "1e-320", "1e308", "-1e308", "inf", "-inf",
+         "nan"]
+EDGE = st.sampled_from(EDGES)
+# --config values: each JSON type, and numbers a float cannot hold
+CONFIG_VALUES = [0, 1, -1, 2, 0.5, 1e-320, 1e308, -1e308, math.inf,
+                 math.nan, 10**400, True, None, "1", [1], {}]
+
+# file -> the columns whose nan is documented: the baseline has no alpha,
+# and mean_ratio is 0/0 when the outlier mean equals m_g
+NAN_CELLS = {"predictions.csv": {"alpha"}, "sweep.csv": {"mean_ratio"}}
+
+
+def _flags(parser):
+    """flag -> action for every flag the command takes but --out."""
+    return {a.option_strings[0]: a for a in parser._actions
+            if a.option_strings and a.option_strings[0] not in ("-h",
+                                                                 "--out")}
+
+
+def _argv(path, drawn):
+    """The command's argv: BASE_ARGV updated by `drawn`, flag -> its text,
+    or None for a switch."""
+    parser, argv = COMMANDS[path], dict(BASE_ARGV[path])
+    for flag in drawn:
+        for group in parser._mutually_exclusive_groups:
+            if _flags(parser)[flag] in group._group_actions:
+                for other in group._group_actions:
+                    argv.pop(other.option_strings[0], None)
+    argv.update(drawn)
+    tokens = [*path, *([argv.pop("data")] if "data" in argv else [])]
+    # "=" keeps argparse from reading a negative value as a flag
+    return tokens + [flag if value is None else f"{flag}={value}"
+                     for flag, value in argv.items()]
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _nan_cells(name, blob, argv):
+    """(file, column) of each nan cell outside NAN_CELLS, and (file, NaN)
+    for a NaN in a JSON file."""
+    if name.endswith(".json"):
+        found = []
+        json.loads(blob, parse_constant=found.append)
+        return [(name, c) for c in found if c == "NaN"]
+    header, *rows = list(csv.reader(io.StringIO(blob.decode())))
+    allowed = set(NAN_CELLS.get(name, ()))
+    if name == "predictions.csv" and "--baseline" not in argv:
+        allowed.discard("alpha")
+    return sorted({(name, col) for row in rows
+                   for col, cell in zip(header, row)
+                   if cell.lower() == "nan" and col not in allowed})
+
+
+def _check(argv, config=None, rerun=False):
+    """The contract of one invocation: a typed exit (see _typed_run); on
+    exit 0 no undocumented nan; with `rerun`, the same bytes again.  A
+    horizon of 1e308 would run integrate's 100,000-step cap, about 50 s;
+    like the epochs, the cap is kept tiny here."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            dyn, "integrate", functools.partial(dyn.integrate, max_steps=50)):
+        tmp = pathlib.Path(tmp)
+        if config is not None:
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp / "cfg.json")]
+        out = tmp / "out"
+        code, stdout = _typed_run(argv, out)
+        if code != 0:
+            return
+        artifacts = _artifacts(out)
+        assert not [hit for name, blob in artifacts.items()
+                    for hit in _nan_cells(name, blob, argv)], argv
+        if rerun:
+            shutil.rmtree(out)
+            assert _typed_run(argv, out) == (code, stdout), argv
+            assert _artifacts(out) == artifacts, argv
+
+
+def test_every_flag_edge_ends_in_a_typed_exit():
+    # each edge in turn for every flag that takes a value and each value
+    # type for every --config key: one sweep of about 900 tiny runs
+    for path, parser in COMMANDS.items():
+        for flag, action in _flags(parser).items():
+            if action.nargs != 0 and flag != "--config":
+                for edge in EDGES:
+                    _check(_argv(path, {flag: edge}))
+    for key in cli.TRAIN_DEFAULTS:
+        for value in CONFIG_VALUES:
+            _check(_argv(("train",), {}), config={key: value})
+
+
+def _flag_value(action):
+    """Edge values for one flag: a choice or not; else mostly the shape it
+    parses, one edge, a comma list of them (empty, duplicated, of up to 4)
+    or lo:hi:n, and sometimes another shape."""
+    if action.choices:
+        return st.sampled_from([*action.choices, "nope"])
+    shapes = {"edge": EDGE, "list": st.lists(EDGE, max_size=4).map(",".join),
+              "grid": st.tuples(EDGE, EDGE, st.sampled_from(
+                  ["0", "1", "2", "x"])).map(":".join)}
+    shape = ("list" if isinstance(action.type, cli.Numbers)
+             else "grid" if action.help == cli.GRID else "edge")
+    return st.one_of(shapes[shape], shapes[shape], *shapes.values())
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, --config dict or None): one command with one or two of its
+    flags drawn, so a new flag is fuzzed as soon as the parser has it."""
+    path = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = _flags(COMMANDS[path])
+    drawn, config = {}, None
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
+                              max_size=2, unique=True)):
+        if flag == "--config":
+            config = draw(st.dictionaries(
+                st.sampled_from([*cli.TRAIN_DEFAULTS, "learning_rat"]),
+                st.sampled_from(CONFIG_VALUES), max_size=2))
+        else:
+            drawn[flag] = (None if flags[flag].nargs == 0
+                           else draw(_flag_value(flags[flag])))
+    return _argv(path, drawn), config
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_invocations(), rerun=st.integers(0, 3))
+def test_flag_combinations_end_in_a_typed_exit(case, rerun):
+    # one draw in four is run twice and must give the same bytes
+    _check(*case, rerun=rerun == 0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gcpnet import metrics as met
+from gcpnet.special import NumericError
 
 
 class TestRmse:
@@ -19,6 +20,13 @@ class TestRmse:
 
 
 class TestRejectionCurve:
+    @pytest.mark.parametrize("preds", [[1e200, 0.0], [1e308, -1e308]])
+    def test_overflowing_errors_are_a_numeric_error(self, preds):
+        # finite predictions whose squared errors overflow would give an
+        # infinite RMSE after a numpy warning
+        with pytest.raises(NumericError, match="overflow"):
+            met.rejection_curve(preds, [0.1, 0.2], [0.0, 0.0])
+
     def test_zero_residuals_give_zero_curve(self):
         curve = met.rejection_curve([1.0, 2.0, 3.0], [0.3, 0.1, 0.2],
                                     [1.0, 2.0, 3.0])

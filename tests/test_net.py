@@ -11,6 +11,7 @@ import scipy.special as sc
 
 from gcpnet import gcp
 from gcpnet import net as nn
+from gcpnet.special import NumericError
 
 
 def tiny_dataset(n=60, seed=0):
@@ -210,6 +211,14 @@ class TestGcpNetwork:
                            match=f"{width} columns, the network expects "
                                  f"{in_dim}"):
             netw.predict_arrays(np.full((2, width), 0.5))
+
+    @pytest.mark.parametrize("cls, head", [(nn.GcpNetwork, "beta"),
+                                           (nn.GaussianNet, "logvar")])
+    def test_non_finite_head_output_is_a_numeric_error(self, cls, head):
+        netw = cls(1, hidden=4, rng=np.random.default_rng(0))
+        netw.b2[cls.HEAD_NAMES.index(head)] = np.inf
+        with pytest.raises(NumericError, match=f"non-finite {head} head"):
+            netw.predict_arrays(np.array([[0.5]]))
 
     def test_train_mode_with_dropout_requires_rng(self):
         netw = nn.GcpNetwork(1, hidden=10, dropout=0.3,
