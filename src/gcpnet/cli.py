@@ -479,9 +479,10 @@ def cmd_dynamics_sweep(args):
                       if mean_scale != 0.0 else math.nan)
         rows.append((eps, eq.m, eq.alpha, eq.sigma, ind.c_go, ind.d_go,
                      eq.max_residual, eps * eq.alpha / alpha_limit,
-                     mean_ratio, eq.step_bound))
+                     mean_ratio, eq.step_bound, eq.iterations))
     header = ("epsilon", "m_eq", "alpha_eq", "sigma_eq", "c_go", "d_go",
-              "residual", "eps_alpha_ratio", "mean_ratio", "step_bound")
+              "residual", "eps_alpha_ratio", "mean_ratio", "step_bound",
+              "iterations")
     out = _ensure_out(args)
     _write_csv(out / "sweep.csv", header, rows)
     _manifest(out, "dynamics sweep",

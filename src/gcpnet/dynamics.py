@@ -36,6 +36,8 @@ from .gcp import GcpParams, correction_constants, corrected_variance
 DYNAMICS_NODES_DEFAULT = 512
 
 ALPHA_CAP = 1e4
+# weight each tail of a Hermite rule may drop: 2^-12 of an ulp of its mass
+HERMITE_TAIL_MASS = 2.0 ** -64
 SOLVE_TOL = 1e-11
 NEWTON_MAX_ITER = 30
 SWEEP_STEP_RATIO = 2.0
@@ -142,14 +144,22 @@ def mixture_mean_variance(spec: ContaminationSpec):
 def _component_nodes(kind, a, b, n_nodes):
     """Read-only node data of one mixture component: the weights, then for
     a gaussian N(a, b) the offsets sqrt(b) * x of the n-node Hermite rule
-    and their squares, for a uniform on [a, b] the n/2 Legendre nodes."""
+    and their squares, for a uniform on [a, b] the n/2 Legendre nodes.
+
+    The Hermite rule drops its outermost node pairs while the weights
+    dropped on one side sum to at most HERMITE_TAIL_MASS, at most 2^-63 of
+    the unit mass in all (512 nodes keep 130, 1024 keep 186, 16 keep all),
+    and stays exactly antisymmetric; every Legendre weight counts."""
     if kind == "gaussian":
         rule = hermite_rule(n_nodes)
-        offsets = math.sqrt(b) * rule.nodes
+        tail = np.cumsum(rule.weights[:n_nodes // 2])
+        k = int(np.searchsorted(tail, HERMITE_TAIL_MASS, side="right"))
+        kept = slice(k, n_nodes - k)
+        offsets = math.sqrt(b) * rule.nodes[kept]
         offsets_sq = offsets * offsets
         offsets.setflags(write=False)
         offsets_sq.setflags(write=False)
-        return rule.weights, offsets, offsets_sq
+        return rule.weights[kept], offsets, offsets_sq
     rule = legendre_rule(n_nodes // 2, a, b)
     return rule.weights, rule.nodes, None
 
@@ -159,8 +169,8 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     """One mixture component's contribution to (F, G, H), and with
     `jacobian` its part of their derivatives in (m, ln alpha, ln sigma).
 
-    Gaussian components use the n-node Hermite rule, uniform ones the
-    n/2-node Legendre rule, so doubling n refines both.  The mean integrand
+    Gaussian components use the n-node Hermite rule less its dead tails,
+    uniform ones the n/2-node Legendre rule, so doubling n refines both.  The mean integrand
     is evaluated pairwise over the symmetric Hermite nodes so that the
     near-cancellation at a symmetric mixture is exact instead of
     catastrophic; the nodes are exactly antisymmetric, so the mirror
@@ -442,9 +452,40 @@ def _admissible(x):
     return abs(la) <= math.log(ALPHA_CAP) and abs(ls) <= 60.0 and abs(m) <= 1e6
 
 
+def _solve(jac, rhs, x):
+    """s with jac s = rhs for a 1x1 to 3x3 system of Python floats (`jac`
+    a list of rows), by Gaussian elimination with partial pivoting; a zero
+    pivot raises NonConvergenceError naming the point x."""
+    n = len(rhs)
+    rows = [[*row, v] for row, v in zip(jac, rhs)]
+    s = [0.0] * n
+    try:
+        for k in range(n):
+            p = k
+            for i in range(k + 1, n):
+                if abs(rows[i][k]) > abs(rows[p][k]):
+                    p = i
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            for row in rows[k + 1:]:
+                f = row[k] / pivot[k]
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * pivot[j]
+        for k in reversed(range(n)):
+            row = rows[k]
+            acc = row[n]
+            for j in range(k + 1, n):
+                acc -= row[j] * s[j]
+            s[k] = acc / row[k]
+    except ZeroDivisionError:
+        raise NonConvergenceError(f"singular Jacobian at {x}") from None
+    return s
+
+
 def _damped_newton(evaluate, x0, tol, caps=None):
-    """Damped Newton for r(x) = 0; `evaluate(x)` returns (r, J), or None
-    outside the domain.  Returns (root, iterations).
+    """Damped Newton for r(x) = 0 on Python floats; `evaluate(x)` returns
+    (r, J), J a list of rows, or None outside the domain.  Returns
+    (root, iterations), the root a tuple.
 
     A damped step is accepted when either the natural level falls,
     |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
@@ -453,36 +494,33 @@ def _damped_newton(evaluate, x0, tol, caps=None):
     bounds each coordinate's step from x.  Raises NonConvergenceError
     when the line search stalls or after NEWTON_MAX_ITER iterations.
     """
-    x = np.asarray(x0, dtype=float)
+    x = tuple(map(float, x0))
     current = evaluate(x)
     if current is None:
         raise NonConvergenceError(f"initial guess outside the domain: {x}")
     r, jac = current
     for it in range(1, NEWTON_MAX_ITER + 1):
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian at {x}") from exc
-        norm = float(np.max(np.abs(r)))
+        step = _solve(jac, [-v for v in r], x)
+        norm = max(map(abs, r))
         if norm < tol:
             # a small residual locates the root only to |step| along an
             # ill-conditioned valley; the last full step costs no
             # evaluation and squares that error
-            return x + step, it
-        step_norm = float(np.linalg.norm(step))
-        rnorm2 = float(np.linalg.norm(r))
+            return tuple(a + s for a, s in zip(x, step)), it
+        step_norm = math.hypot(*step)
+        rnorm2 = math.hypot(*r)
         lam = 1.0
         if caps is not None:
             lam = min(lam, *(c / (abs(s) + 1e-300)
                              for c, s in zip(caps(x), step)))
         for _ in range(30):
-            trial = x + lam * step
+            trial = tuple(a + lam * s for a, s in zip(x, step))
             current = evaluate(trial)
             if current is not None:
                 rt, jt = current
-                natural = float(np.linalg.norm(np.linalg.solve(jac, rt)))
+                natural = math.hypot(*_solve(jac, rt, x))
                 if (natural < (1.0 - 0.25 * lam) * step_norm
-                        or float(np.linalg.norm(rt)) < rnorm2):
+                        or math.hypot(*rt) < rnorm2):
                     x, r, jac = trial, rt, jt
                     break
             lam *= 0.5
@@ -491,7 +529,7 @@ def _damped_newton(evaluate, x0, tol, caps=None):
                 f"line search stalled at iteration {it}, residual {norm:.3e}")
     raise NonConvergenceError(f"no convergence after {NEWTON_MAX_ITER} "
                               f"iterations, residual "
-                              f"{float(np.max(np.abs(r))):.3e}")
+                              f"{max(map(abs, r)):.3e}")
 
 
 def newton_equilibrium(spec: ContaminationSpec, guess,
@@ -518,7 +556,7 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
             return None
         values, jac = fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
                           nodes=n_nodes, jacobian=True)
-        return np.array(values), jac
+        return values, jac.tolist()
 
     # trust caps keep iterates out of the flat residual valley that runs
     # toward alpha = infinity
@@ -527,14 +565,14 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
         SOLVE_TOL, caps=lambda x: (0.5 * (1.0 + abs(x[0])), 0.7, 0.7))
     if not _admissible(x):
         raise NonConvergenceError(f"root outside the admissible region: {x}")
-    m, alpha, sigma = float(x[0]), math.exp(x[1]), math.exp(x[2])
+    m, alpha, sigma = x[0], math.exp(x[1]), math.exp(x[2])
     res2, jac2 = fgh(m, alpha, sigma, spec, nodes=2 * n_nodes, jacobian=True)
     residuals = tuple(abs(v) for v in res2)
     converged = max(residuals) < CERT_TOL
     eq = Equilibrium(m=m + shift, alpha=alpha, sigma=sigma,
                      residuals=residuals, converged=converged, nodes=n_nodes,
                      iterations=iters,
-                     step_bound=float(np.max(np.abs(np.linalg.solve(jac2, res2)))))
+                     step_bound=max(map(abs, _solve(jac2.tolist(), res2, x))))
     if not converged:
         raise NonConvergenceError(
             f"root failed certification at doubled nodes: residuals {eq.residuals}")
@@ -570,6 +608,10 @@ def asymptotic_guess(spec: ContaminationSpec):
     if first != 0.0 and (offset * first <= 0.0 or abs(offset) < 1e-3 * abs(first)):
         offset = 1e-3 * first
     alpha0 = max(3.0 * spec.v_g**2 / (ind.c_go * eps), 0.05)
+    if not alpha0 <= ALPHA_CAP:
+        raise NonConvergenceError(
+            f"asymptotic start alpha = {alpha0:.6g} at epsilon = {eps:g} lies "
+            f"beyond the admissible alpha <= {ALPHA_CAP:g}")
     sigma0 = spec.v_g * max(alpha0 - solve_A(alpha0), 1e-3)
     return (spec.m_g + offset, alpha0, sigma0)
 
@@ -587,10 +629,14 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
                       nodes=None):
     """Equilibria along an epsilon grid with continuation warm starts.
 
-    Epsilons are solved in descending order; each solution seeds the next
-    guess with the leading-order scalings (alpha ~ 1/eps, m - m_g ~ eps).
-    Gaps wider than SWEEP_STEP_RATIO are bridged by solving unreported
-    geometric midpoints so every continuation step stays well conditioned.
+    Epsilons are solved in descending order.  The first starts from the
+    asymptotic guess, the second from the first root, and every later one
+    from the secant through the two previous roots in ln eps, linear in m
+    and geometric in alpha and sigma, which follows the leading-order
+    scalings (alpha ~ 1/eps, m - m_g ~ eps); a failed start falls back to
+    the asymptotic guess.  Gaps wider than
+    SWEEP_STEP_RATIO are bridged by solving unreported geometric midpoints
+    so every continuation step stays well conditioned.
     Returns (eps, Equilibrium) pairs in the caller's order.
     """
     requested = [float(e) for e in eps_values]
@@ -605,21 +651,25 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
                 padded.append(prev * (nxt / prev) ** (i / k))
         padded.append(nxt)
     solved = {}
-    prev = None
-    for eps in padded:
+    for i, eps in enumerate(padded):
         spec = ContaminationSpec(epsilon=eps, m_g=m_g, v_g=v_g, outlier=outlier)
-        if prev is None:
-            eq = equilibrium(spec, nodes=nodes)
-        else:
-            # the previous equilibrium sits below the next root in alpha,
-            # the side from which Newton reliably converges
-            try:
-                eq = newton_equilibrium(spec, (prev.m, prev.alpha, prev.sigma),
-                                        nodes=nodes)
-            except NonConvergenceError:
-                eq = newton_equilibrium(spec, asymptotic_guess(spec), nodes=nodes)
+        if i == 0:
+            solved[eps] = equilibrium(spec, nodes=nodes)
+            continue
+        prev = solved[padded[i - 1]]
+        guess = (prev.m, prev.alpha, prev.sigma)
+        if i > 1:
+            older = solved[padded[i - 2]]
+            t = math.log(eps / padded[i - 1]) / math.log(padded[i - 1]
+                                                         / padded[i - 2])
+            guess = (prev.m + t * (prev.m - older.m),
+                     prev.alpha * (prev.alpha / older.alpha) ** t,
+                     prev.sigma * (prev.sigma / older.sigma) ** t)
+        try:
+            eq = newton_equilibrium(spec, guess, nodes=nodes)
+        except NonConvergenceError:
+            eq = newton_equilibrium(spec, asymptotic_guess(spec), nodes=nodes)
         solved[eps] = eq
-        prev = eq
     return [(e, solved[e]) for e in requested]
 
 
@@ -680,9 +730,9 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
                 for weight, kind, a, b in spec.components())
     (_, g_gen, h_gen), j_gen = gen
     (_, g_out, h_out), j_out = out
-    r = np.array([g_gen + g_out + delta_psi(alpha), h_gen + h_out])
-    jac = np.array([[-j_gen[1, 2], -offset * j_out[1, 0]],
-                    [-j_gen[2, 2], -offset * j_out[2, 0]]])
+    r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
+    jac = [[-float(j_gen[1, 2]), -offset * float(j_out[1, 0])],
+           [-float(j_gen[2, 2]), -offset * float(j_out[2, 0])]]
     return r, jac
 
 
@@ -746,7 +796,7 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma):
     """
     def evaluate(x):
         (f, _, _), jac = fgh(x[0], alpha, sigma, spec, jacobian=True)
-        return np.array([f]), jac[:1, :1]
+        return (f,), [[float(jac[0, 0])]]
 
     r0, _ = evaluate([spec.m_g])
     if r0[0] == 0.0:

@@ -397,6 +397,17 @@ class TestDynamics:
     def test_epsilon_out_of_range_is_usage(self):
         assert cli.main(["dynamics", "equilibrium", "--epsilon", "1.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "equilibrium", "--epsilon", "1e-320"],
+        ["dynamics", "sweep", "--eps", "1e-320"]])
+    def test_subnormal_epsilon_is_numeric_failure(self, tmp_path, capsys,
+                                                  argv):
+        # the asymptotic start's alpha ~ 1/eps overflows: no solve can
+        # begin, which is a numeric failure naming the start
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: asymptotic start alpha = inf" in err
+
     def test_sweep_ratio_trends_toward_one(self, tmp_path, capsys):
         assert cli.main(["dynamics", "sweep",
                          "--eps", "0.08,0.04,0.02,0.01,0.005",
@@ -413,8 +424,11 @@ class TestDynamics:
         mean_ratio = [float(r[header.index("mean_ratio")]) for r in rows]
         assert all(0.0 < r < 1.0 for r in mean_ratio)
         assert all(a < b for a, b in zip(mean_ratio, mean_ratio[1:]))
-        assert header[-1] == "step_bound"
-        assert all(0.0 <= float(r[-1]) < 1e-9 for r in rows)
+        bound = header.index("step_bound")
+        assert all(0.0 <= float(r[bound]) < 1e-9 for r in rows)
+        # the continuation's Newton iterations close each row
+        assert header[-1] == "iterations"
+        assert all(1 <= int(r[-1]) <= 30 for r in rows)
 
     def test_sweep_with_zero_epsilon_refused(self, tmp_path):
         assert cli.main(["dynamics", "sweep", "--eps", "0.04,0",

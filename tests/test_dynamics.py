@@ -140,21 +140,32 @@ class TestIntegrals:
         np.testing.assert_allclose(f, 0.7 * clean[0] + f_u, atol=1e-9)
 
 
+def pruned_hermite(n):
+    """(nodes, weights) of hermite_rule(n) less its outermost pairs, taken
+    one by one while one side's dropped weights sum to at most 2^-64."""
+    rule = hermite_rule(n)
+    k, dropped = 0, 0.0
+    while dropped + rule.weights[k] <= 2.0 ** -64:
+        dropped += rule.weights[k]
+        k += 1
+    return rule.nodes[k:n - k], rule.weights[k:n - k]
+
+
 def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
     """One component's values and Jacobian with the rules built on every
     call and the mirror denominator computed from c - offsets."""
     two_sigma = 2.0 * sigma
     if kind == "gaussian":
-        rule = hermite_rule(n)
-        offsets = math.sqrt(b) * rule.nodes
+        nodes, w = pruned_hermite(n)
+        offsets = math.sqrt(b) * nodes
         c = a - m
         z = c + offsets
         density = 1.0
     else:
         rule = legendre_rule(n // 2, a, b)
+        w = rule.weights
         z = rule.nodes - m
         density = 1.0 / (b - a)
-    w = rule.weights
     zsq = z * z
     den = two_sigma + zsq
     if kind == "gaussian":
@@ -195,6 +206,101 @@ def test_component_fgh_is_bitwise_the_reference(component, n):
             vals, jac = dyn._component_fgh(*args, n, jacobian=jacobian)
             assert vals == want_vals
         np.testing.assert_array_equal(jac, want_jac)
+
+
+def gaussian_integrands(m, alpha, sigma, a, b, nodes):
+    """name -> integrand at the nodes, for every integral that a gaussian
+    N(a, b) component's F, G, H and Jacobian are read from, each rounded
+    as _component_fgh rounds it."""
+    two_sigma = 2.0 * sigma
+    offsets = math.sqrt(b) * nodes
+    c = a - m
+    z = c + offsets
+    zsq = z * z
+    den = two_sigma + zsq
+    inv = 1.0 / den
+    pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
+    return {"f": 0.5 * (pair_num / (den * den[::-1])),
+            "g": np.log1p(zsq / two_sigma), "h": (alpha * zsq - sigma) / den,
+            "z_den": z * inv, "zsq_den": zsq * inv,
+            "z_den2": z * inv * inv, "zsq_den2": zsq * inv * inv,
+            "f_m": (zsq - two_sigma) * inv * inv}
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_pruned_hermite_rule_matches_the_full_rule(n):
+    weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, n)
+    assert np.array_equal(offsets, -offsets[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    full = hermite_rule(n)
+    k = (n - len(weights)) // 2
+    assert k > 0 and 2.0 * float(np.sum(full.weights[:k])) <= 2.0 ** -63
+    dropped = np.r_[:k, n - k:n]
+    # seeded states over Newton's admissible box, m on several scales
+    rng = np.random.default_rng(23)
+    cap = math.log(dyn.ALPHA_CAP)
+    for a, b in [(5.0, 1.0), (-1.5, 4.0), (0.0, 1.0), (3.0, 4.0)]:
+        for _ in range(60):
+            m = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.integers(-3, 7))
+            alpha = math.exp(rng.uniform(-cap, cap))
+            sigma = math.exp(rng.uniform(-60.0, 60.0))
+            want = gaussian_integrands(m, alpha, sigma, a, b, full.nodes)
+            (f, g, h), jac = dyn._component_fgh(m, alpha, sigma, 1.0,
+                                                "gaussian", a, b, n,
+                                                jacobian=True)
+            shape = 2.0 * alpha + 1.0
+            # (got, coefficient, integrand) for every value and entry of J
+            checks = [
+                (f, 1.0, "f"), (g, 1.0, "g"), (h, 1.0, "h"),
+                (jac[0, 0], 1.0, "f_m"),
+                (jac[0, 2], -2.0 * sigma, "z_den2"),
+                (jac[1, 0], -2.0, "z_den"), (jac[1, 2], -1.0, "zsq_den"),
+                (jac[2, 0], -2.0 * sigma * shape, "z_den2"),
+                (jac[2, 1], alpha, "zsq_den"),
+                (jac[2, 2], -sigma * shape, "zsq_den2")]
+            for got, coef, name in checks:
+                v = want[name]
+                # four roundings of sum |w v|, and what the dropped nodes
+                # carry: at most 2^-63 of the mass times their largest
+                # |v|, which leads for J when the peak of z / den^2 at
+                # z = 0 lies among them (m far out, sigma small)
+                bound = abs(coef) * (
+                    4.0 * 2.0 ** -52 * float(full.weights @ np.abs(v))
+                    + 2.0 ** -63 * float(np.abs(v[dropped]).max()))
+                assert abs(got - coef * float(full.weights @ v)) <= bound, (
+                    name, m, alpha, sigma, a, b)
+
+
+def test_small_hermite_rules_keep_every_node():
+    weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, 16)
+    np.testing.assert_array_equal(weights, hermite_rule(16).weights)
+    np.testing.assert_array_equal(offsets, hermite_rule(16).nodes)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_numpy_on_well_conditioned_systems(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            jac = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+            rhs = rng.normal(size=n)
+            got = dyn._solve(jac.tolist(), rhs.tolist(), (0.0,) * n)
+            assert all(isinstance(v, float) for v in got)
+            np.testing.assert_allclose(got, np.linalg.solve(jac, rhs),
+                                       rtol=1e-13, atol=0)
+
+    def test_pivots_past_a_zero_leading_entry(self):
+        got = dyn._solve([[0.0, 2.0], [4.0, 1.0]], [2.0, 9.0], (0.0, 0.0))
+        assert got == [2.0, 1.0]
+
+    @pytest.mark.parametrize("jac", [[[0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                                     [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0],
+                                      [0.0, 2.0, 2.0]]])
+    def test_singular_jacobian_is_nonconvergence(self, jac):
+        x = (0.5,) * len(jac)
+        with pytest.raises(dyn.NonConvergenceError,
+                           match=r"singular Jacobian at \(0\.5"):
+            dyn._solve(jac, [1.0] * len(jac), x)
 
 
 class TestJacobian:
@@ -472,6 +578,45 @@ class TestEquilibrium:
             assert abs(end.m - eq.m) < 1e-5
             assert abs(end.alpha - eq.alpha) < 1e-5
             assert abs(end.sigma - eq.sigma) < 1e-5
+
+    @pytest.mark.parametrize("outlier", [OUT5, ("gaussian", 3.0, 4.0),
+                                         ("uniform", -4.0, 16.0)])
+    def test_secant_starts_need_no_fallback(self, monkeypatch, outlier):
+        # criterion 3's grid: only the first point starts asymptotically
+        guess, starts = dyn.asymptotic_guess, []
+
+        def recording(spec):
+            starts.append(spec.epsilon)
+            return guess(spec)
+
+        monkeypatch.setattr(dyn, "asymptotic_guess", recording)
+        grid = [0.04, 0.02, 0.01, 0.005, 4e-4, 2e-4, 1e-4, 5e-5, 2.5e-5,
+                1.25e-5]
+        rows = dyn.equilibrium_sweep(grid, outlier=outlier)
+        assert starts == [0.04]
+        assert all(eq.converged and eq.max_residual < dyn.CERT_TOL
+                   for _, eq in rows)
+
+    def test_later_starts_are_the_secant_in_log_epsilon(self, monkeypatch):
+        newton, guesses = dyn.newton_equilibrium, []
+
+        def recording(spec, guess, nodes=None):
+            guesses.append(guess)
+            return newton(spec, guess, nodes=nodes)
+
+        monkeypatch.setattr(dyn, "newton_equilibrium", recording)
+        (_, eq0), (_, eq1), _ = dyn.equilibrium_sweep([0.04, 0.02, 0.01])
+        assert guesses[1] == (eq0.m, eq0.alpha, eq0.sigma)
+        # equal ratios put the third start one secant step past the second
+        np.testing.assert_allclose(
+            guesses[2], (2.0 * eq1.m - eq0.m, eq1.alpha**2 / eq0.alpha,
+                         eq1.sigma**2 / eq0.sigma), rtol=1e-14)
+
+    def test_tiny_epsilon_start_is_nonconvergence(self):
+        with pytest.raises(dyn.NonConvergenceError, match="asymptotic start"):
+            dyn.asymptotic_guess(spec_at(1e-320))
+        with pytest.raises(dyn.NonConvergenceError, match="beyond"):
+            dyn.asymptotic_guess(spec_at(1e-9))
 
     def test_epsilon_continuity(self):
         # no jumps: every step along a fine geometric grid stays comparable
