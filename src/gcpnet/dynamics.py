@@ -45,7 +45,7 @@ CERT_TOL = 1e-9
 RTOL = 1e-8
 ATOL = 1e-10
 # bound on |m_g|, v_g and the outlier parameters: it keeps the moments up to
-# sixth order and the squared pair denominators of the mean pull finite
+# fourth order and the squared pair denominators of the mean pull finite
 MIXTURE_LIMIT = 1e50
 
 
@@ -100,14 +100,13 @@ class ContaminationSpec:
 
 
 def outlier_moments(spec: ContaminationSpec) -> dict:
-    """Closed-form mean and central moments (orders 2..6) of the outlier."""
+    """Closed-form mean and central moments (orders 2..4) of the outlier."""
     kind, a, b = spec.outlier
     if kind == "uniform":
-        # U(lo,hi): mu4 = 9V^2/5, mu6 = 27V^3/7, odd moments vanish
+        # U(lo,hi): mu4 = 9V^2/5, mu3 vanishes
         v = (b - a) ** 2 / 12.0
-        return {"mean": 0.5 * (a + b), 2: v, 3: 0.0, 4: 1.8 * v * v, 5: 0.0,
-                6: 27.0 * v**3 / 7.0}
-    return {"mean": a, 2: b, 3: 0.0, 4: 3.0 * b * b, 5: 0.0, 6: 15.0 * b**3}
+        return {"mean": 0.5 * (a + b), 2: v, 3: 0.0, 4: 1.8 * v * v}
+    return {"mean": a, 2: b, 3: 0.0, 4: 3.0 * b * b}
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     near-cancellation at a symmetric mixture is exact instead of
     catastrophic; the nodes are exactly antisymmetric, so the mirror
     node's denominator is `den` reversed.  Returns ((f, g, h), jac) with
-    jac None unless asked for.
+    jac three rows of Python floats, or None unless asked for.
     """
     two_sigma = 2.0 * sigma
     weights, points, offsets_sq = _component_nodes(kind, a, b, n_nodes)
@@ -204,18 +203,17 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     inv = 1.0 / den
     z_inv = z * inv
     zsq_inv = zsq * inv
-    z_den = weights @ z_inv
-    zsq_den = weights @ zsq_inv
-    z_den2 = weights @ (z_inv * inv)
-    zsq_den2 = weights @ (zsq_inv * inv)
-    f_m = weights @ ((zsq - two_sigma) * inv * inv)
+    z_den = float(weights @ z_inv)
+    zsq_den = float(weights @ zsq_inv)
+    z_den2 = float(weights @ (z_inv * inv))
+    zsq_den2 = float(weights @ (zsq_inv * inv))
+    f_m = float(weights @ ((zsq - two_sigma) * inv * inv))
     shape = 2.0 * alpha + 1.0
-    jac = np.array([
-        [f_m, 0.0, -two_sigma * z_den2],
-        [-2.0 * z_den, 0.0, -zsq_den],
-        [-two_sigma * shape * z_den2, alpha * zsq_den, -sigma * shape * zsq_den2],
-    ])
-    return vals, weight * (jac * density)
+    jac = ((f_m, 0.0, -two_sigma * z_den2),
+           (-2.0 * z_den, 0.0, -zsq_den),
+           (-two_sigma * shape * z_den2, alpha * zsq_den,
+            -sigma * shape * zsq_den2))
+    return vals, [[weight * (v * density) for v in row] for row in jac]
 
 
 def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
@@ -224,13 +222,14 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     F is the mean pull, H the precision imbalance, and G the evidence
     imbalance including the digamma gap, so an equilibrium is exactly
     F = G = H = 0.  With `jacobian` the result is ((f, g, h), J), J the
-    3x3 derivative in (m, ln alpha, ln sigma) from the same nodes.
+    3x3 derivative in (m, ln alpha, ln sigma) from the same nodes, a list
+    of three rows of Python floats.
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
     f = g = h = 0.0
-    jac = np.zeros((3, 3)) if jacobian else None
+    jac = [[0.0] * 3 for _ in range(3)] if jacobian else None
     for weight, kind, a, b in spec.components():
         (df, dg, dh), djac = _component_fgh(m, alpha, sigma, weight, kind,
                                             a, b, n_nodes, jacobian)
@@ -238,12 +237,14 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
         g += dg
         h += dh
         if jacobian:
-            jac += djac
+            for row, drow in zip(jac, djac):
+                for j, v in enumerate(drow):
+                    row[j] += v
     g += delta_psi(alpha)
     finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
     if jacobian:
-        jac[1, 1] = alpha * delta_trigamma(alpha)
-        finite = finite and bool(np.isfinite(jac).all())
+        jac[1][1] = alpha * delta_trigamma(alpha)
+        finite = finite and all(map(math.isfinite, jac[0] + jac[1] + jac[2]))
     if not finite:
         raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "
                            f"sigma={sigma}")
@@ -484,8 +485,8 @@ def _solve(jac, rhs, x):
 
 def _damped_newton(evaluate, x0, tol, caps=None):
     """Damped Newton for r(x) = 0 on Python floats; `evaluate(x)` returns
-    (r, J), J a list of rows, or None outside the domain.  Returns
-    (root, iterations), the root a tuple.
+    (r, J), J a list of rows of Python floats, or None outside the domain.
+    Returns (root, iterations), the root a tuple.
 
     A damped step is accepted when either the natural level falls,
     |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
@@ -552,11 +553,8 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
         kind, a - shift, b - shift if kind == "uniform" else b))
 
     def evaluate(x):
-        if not _admissible(x):
-            return None
-        values, jac = fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
-                          nodes=n_nodes, jacobian=True)
-        return values, jac.tolist()
+        return fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec, nodes=n_nodes,
+                   jacobian=True) if _admissible(x) else None
 
     # trust caps keep iterates out of the flat residual valley that runs
     # toward alpha = infinity
@@ -572,7 +570,7 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     eq = Equilibrium(m=m + shift, alpha=alpha, sigma=sigma,
                      residuals=residuals, converged=converged, nodes=n_nodes,
                      iterations=iters,
-                     step_bound=max(map(abs, _solve(jac2.tolist(), res2, x))))
+                     step_bound=max(map(abs, _solve(jac2, res2, x))))
     if not converged:
         raise NonConvergenceError(
             f"root failed certification at doubled nodes: residuals {eq.residuals}")
@@ -713,26 +711,26 @@ class InverseReport:
 
 def _inverse_residual(x, eps, alpha, sigma, n_nodes):
     """(G, H) at m = 0 and their Jacobian in x = (ln v_g, ln m_o) for the
-    inverse problem (m_g = 0, v_o = 1); None outside its domain.
+    inverse problem on (1 - eps) N(0, v_g) + eps N(m_o, 1); None outside
+    its domain |ln v_g| <= 30, ln m_o <= ln MIXTURE_LIMIT.
 
     At m = m_g the generative terms depend on v_g only through v_g / sigma,
     so their ln v_g column is minus their ln sigma column; the outlier
     terms depend on m_o - m, so their m_o column is minus their m column.
     """
     lv, lm = x
-    if abs(lv) > 30.0 or lm > 700.0:
+    if abs(lv) > 30.0 or lm > math.log(MIXTURE_LIMIT):
         return None
     offset = math.exp(lm)
-    spec = ContaminationSpec(epsilon=eps, v_g=math.exp(lv),
-                             outlier=("gaussian", offset, 1.0))
-    gen, out = (_component_fgh(0.0, alpha, sigma, weight, kind, a, b,
-                               n_nodes, jacobian=True)
-                for weight, kind, a, b in spec.components())
-    (_, g_gen, h_gen), j_gen = gen
-    (_, g_out, h_out), j_out = out
+    (_, g_gen, h_gen), j_gen = _component_fgh(
+        0.0, alpha, sigma, 1.0 - eps, "gaussian", 0.0, math.exp(lv), n_nodes,
+        jacobian=True)
+    (_, g_out, h_out), j_out = _component_fgh(
+        0.0, alpha, sigma, eps, "gaussian", offset, 1.0, n_nodes,
+        jacobian=True)
     r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
-    jac = [[-float(j_gen[1, 2]), -offset * float(j_out[1, 0])],
-           [-float(j_gen[2, 2]), -offset * float(j_out[2, 0])]]
+    jac = [[-j_gen[1][2], -offset * j_out[1][0]],
+           [-j_gen[2][2], -offset * j_out[2][0]]]
     return r, jac
 
 
@@ -749,26 +747,27 @@ def verify_variance_correction(alpha, sigma,
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
+    eps_seq = [float(eps) for eps in eps_seq]
+    if not all(0.0 <= eps < 1.0 for eps in eps_seq):
+        raise ConditionError("epsilon must lie in [0, 1)")
     v_p = sigma / (alpha - solve_A(alpha))
     consts = correction_constants(alpha, nodes=DYNAMICS_NODES_DEFAULT)
     rows = []
     for eps in eps_seq:
-        eps = float(eps)
         if eps == 0.0:
             rows.append(InverseRow(epsilon=0.0, v_g=v_p, m_o=math.nan,
                                    deviation=0.0, slope=math.nan,
                                    converged=True, m_p=0.0))
             continue
-        # start from the first-order v_g and the exponential outlier
-        # location that keep (alpha, sigma) in balance
+        # start from the first-order v_g and the exponential outlier location
+        # that keep (alpha, sigma) in balance; its log cannot overflow
         v_g0 = v_p * max(1.0 - consts.b * eps, 0.05)
-        m_o0 = math.sqrt(2.0 * sigma) * math.exp(0.5 * consts.b1) \
-            * math.exp(0.5 * consts.b0 / eps)
+        ln_m_o0 = 0.5 * (math.log(2.0 * sigma) + consts.b1 + consts.b0 / eps)
         try:
             x, _ = _damped_newton(
                 lambda x: _inverse_residual(x, eps, alpha, sigma,
                                             DYNAMICS_NODES_DEFAULT),
-                (math.log(v_g0), math.log(m_o0)), 1e-13)
+                (math.log(v_g0), ln_m_o0), 1e-13)
         except NonConvergenceError:
             rows.append(InverseRow(epsilon=eps, v_g=math.nan, m_o=math.nan,
                                    deviation=math.nan, slope=math.nan,
@@ -796,7 +795,7 @@ def solve_mean_root(spec: ContaminationSpec, alpha, sigma):
     """
     def evaluate(x):
         (f, _, _), jac = fgh(x[0], alpha, sigma, spec, jacobian=True)
-        return (f,), [[float(jac[0, 0])]]
+        return (f,), [[jac[0][0]]]
 
     r0, _ = evaluate([spec.m_g])
     if r0[0] == 0.0:

@@ -57,7 +57,7 @@ def rejection_curve(preds, variances, targets) -> EvalCurve:
 
 def write_curve_csv(curve: EvalCurve, path):
     """(n, rmse) rows matching the stored curve."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "rmse"])
         for i, val in enumerate(curve.rmse_at_n):

@@ -63,7 +63,7 @@ class TestContaminationSpec:
         np.testing.assert_allclose(mom["mean"], 1.0, rtol=1e-14)
         np.testing.assert_allclose(mom[2], v, rtol=1e-14)
         np.testing.assert_allclose(mom[4], 1.8 * v * v, rtol=1e-14)
-        assert mom[3] == 0.0 and mom[5] == 0.0
+        assert mom[3] == 0.0
 
 
 class TestIndicators:
@@ -252,12 +252,12 @@ def test_pruned_hermite_rule_matches_the_full_rule(n):
             # (got, coefficient, integrand) for every value and entry of J
             checks = [
                 (f, 1.0, "f"), (g, 1.0, "g"), (h, 1.0, "h"),
-                (jac[0, 0], 1.0, "f_m"),
-                (jac[0, 2], -2.0 * sigma, "z_den2"),
-                (jac[1, 0], -2.0, "z_den"), (jac[1, 2], -1.0, "zsq_den"),
-                (jac[2, 0], -2.0 * sigma * shape, "z_den2"),
-                (jac[2, 1], alpha, "zsq_den"),
-                (jac[2, 2], -sigma * shape, "zsq_den2")]
+                (jac[0][0], 1.0, "f_m"),
+                (jac[0][2], -2.0 * sigma, "z_den2"),
+                (jac[1][0], -2.0, "z_den"), (jac[1][2], -1.0, "zsq_den"),
+                (jac[2][0], -2.0 * sigma * shape, "z_den2"),
+                (jac[2][1], alpha, "zsq_den"),
+                (jac[2][2], -sigma * shape, "zsq_den2")]
             for got, coef, name in checks:
                 v = want[name]
                 # four roundings of sum |w v|, and what the dropped nodes
@@ -321,7 +321,19 @@ class TestJacobian:
             fd[:, j] = (residual(x + step) - residual(x - step)) / 2e-5
         # F does not depend on alpha, so that entry is zero both ways
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-14)
-        assert jac[0, 1] == 0.0 and fd[0, 1] == 0.0
+        assert jac[0][1] == 0.0 and fd[0, 1] == 0.0
+
+    @pytest.mark.parametrize("outlier", [OUT5, ("uniform", -4.0, 16.0)])
+    def test_jacobian_entries_are_python_floats(self, outlier):
+        # type, not isinstance: np.float64 subclasses float
+        s = spec_at(0.07, outlier=outlier)
+        _, jac = dyn.fgh(0.3, 2.3, 1.4, s, jacobian=True)
+        for weight, kind, a, b in s.components():
+            _, part = dyn._component_fgh(0.3, 2.3, 1.4, weight, kind, a, b,
+                                         64, jacobian=True)
+            for j in (jac, part):
+                assert len(j) == 3 and all(len(row) == 3 for row in j)
+                assert all(type(v) is float for row in j for v in row)
 
 
 class TestFlow:
@@ -765,6 +777,31 @@ class TestVarianceVerification:
                                              eps_seq=(0.002, 0.001))
         assert all(r.converged for r in rep.rows)
         assert rep.rows[-1].deviation < rep.rows[0].deviation
+
+    @pytest.mark.parametrize("alpha, sigma, eps", [(0.5, 1.0, 1e-3),
+                                                   (0.8, 1.0, 5e-4),
+                                                   (0.3, 1.0, 5e-4)])
+    def test_start_beyond_the_domain_is_an_unconverged_row(self, alpha,
+                                                           sigma, eps):
+        # exp(b0 / (2 eps)) exceeds MIXTURE_LIMIT or overflows a float
+        rep = dyn.verify_variance_correction(alpha, sigma, eps_seq=(eps,))
+        (row,) = rep.rows
+        assert not row.converged
+        assert math.isnan(row.v_g) and math.isnan(row.m_o)
+
+    def test_inverse_domain_ends_at_the_mixture_limit(self):
+        lm = math.log(dyn.MIXTURE_LIMIT)
+        inside = dyn._inverse_residual((0.0, lm), 0.01, 2.0, 2.0, 64)
+        assert inside is not None and all(map(math.isfinite, inside[0]))
+        for x in [(0.0, math.nextafter(lm, math.inf)), (0.0, 700.0),
+                  (30.5, 1.0), (-30.5, 1.0)]:
+            assert dyn._inverse_residual(x, 0.01, 2.0, 2.0, 64) is None
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.0, math.nan])
+    def test_epsilon_outside_the_unit_interval_is_a_condition_error(self,
+                                                                    eps):
+        with pytest.raises(dyn.ConditionError, match="epsilon"):
+            dyn.verify_variance_correction(2.0, 2.0, eps_seq=(0.01, eps))
 
 
 class TestMeanVerification:
