@@ -36,8 +36,8 @@ from .gcp import GcpParams, correction_constants, corrected_variance
 DYNAMICS_NODES_DEFAULT = 512
 
 ALPHA_CAP = 1e4
-# weight each tail of a Hermite rule may drop: 2^-12 of an ulp of its mass
-HERMITE_TAIL_MASS = 2.0 ** -64
+# weight each tail of a quadrature rule may drop: 2^-12 of an ulp of its mass
+TAIL_MASS = 2.0 ** -64
 SOLVE_TOL = 1e-11
 NEWTON_MAX_ITER = 30
 SWEEP_STEP_RATIO = 2.0
@@ -141,26 +141,30 @@ def mixture_mean_variance(spec: ContaminationSpec):
 
 @lru_cache(maxsize=32)
 def _component_nodes(kind, a, b, n_nodes):
-    """Read-only node data of one mixture component: the weights, then for
-    a gaussian N(a, b) the offsets sqrt(b) * x of the n-node Hermite rule
-    and their squares, for a uniform on [a, b] the n/2 Legendre nodes.
+    """Read-only node data of one mixture component as an expectation
+    about its center: (center, weights, offsets, offsets^2).  A gaussian
+    N(a, b) is the n-node Hermite rule times sqrt(b) around a, a uniform
+    on [a, b] the n/2-node Legendre rule times its half-width around its
+    midpoint, so doubling n refines both.
 
-    The Hermite rule drops its outermost node pairs while the weights
-    dropped on one side sum to at most HERMITE_TAIL_MASS, at most 2^-63 of
-    the unit mass in all (512 nodes keep 130, 1024 keep 186, 16 keep all),
-    and stays exactly antisymmetric; every Legendre weight counts."""
+    The rule drops its outermost node pairs while the weights dropped on
+    one side sum to at most TAIL_MASS, at most 2^-63 of the unit mass in
+    all (512 Hermite nodes keep 130, 1024 keep 186, 16 keep all; Legendre
+    rules keep every node), and stays exactly antisymmetric."""
     if kind == "gaussian":
-        rule = hermite_rule(n_nodes)
-        tail = np.cumsum(rule.weights[:n_nodes // 2])
-        k = int(np.searchsorted(tail, HERMITE_TAIL_MASS, side="right"))
-        kept = slice(k, n_nodes - k)
-        offsets = math.sqrt(b) * rule.nodes[kept]
-        offsets_sq = offsets * offsets
-        offsets.setflags(write=False)
-        offsets_sq.setflags(write=False)
-        return rule.weights[kept], offsets, offsets_sq
-    rule = legendre_rule(n_nodes // 2, a, b)
-    return rule.weights, rule.nodes, None
+        center, scale, rule = a, math.sqrt(b), hermite_rule(n_nodes)
+    else:
+        center, scale = 0.5 * (a + b), 0.5 * (b - a)
+        rule = legendre_rule(n_nodes // 2)
+    n = len(rule.nodes)
+    tail = np.cumsum(rule.weights[:n // 2])
+    k = int(np.searchsorted(tail, TAIL_MASS, side="right"))
+    kept = slice(k, n - k)
+    offsets = scale * rule.nodes[kept]
+    offsets_sq = offsets * offsets
+    offsets.setflags(write=False)
+    offsets_sq.setflags(write=False)
+    return center, rule.weights[kept], offsets, offsets_sq
 
 
 def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
@@ -168,34 +172,26 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     """One mixture component's contribution to (F, G, H), and with
     `jacobian` its part of their derivatives in (m, ln alpha, ln sigma).
 
-    Gaussian components use the n-node Hermite rule less its dead tails,
-    uniform ones the n/2-node Legendre rule, so doubling n refines both.  The mean integrand
-    is evaluated pairwise over the symmetric Hermite nodes so that the
-    near-cancellation at a symmetric mixture is exact instead of
-    catastrophic; the nodes are exactly antisymmetric, so the mirror
-    node's denominator is `den` reversed.  Returns ((f, g, h), jac) with
-    jac three rows of Python floats, or None unless asked for.
+    Every component is an expectation over z = c + offsets with c its
+    center less m.  The mean integrand is evaluated pairwise over the
+    mirrored nodes, so F is exactly odd in c and vanishes exactly at a
+    symmetric mixture instead of cancelling catastrophically; the nodes
+    are exactly antisymmetric, so the mirror node's denominator is `den`
+    reversed.  Returns ((f, g, h), jac) with jac three rows of Python
+    floats, or None unless asked for.
     """
     two_sigma = 2.0 * sigma
-    weights, points, offsets_sq = _component_nodes(kind, a, b, n_nodes)
-    if kind == "gaussian":
-        c = a - m
-        z = c + points
-        density = 1.0
-    else:
-        z = points - m
-        density = 1.0 / (b - a)
+    center, weights, offsets, offsets_sq = _component_nodes(kind, a, b,
+                                                            n_nodes)
+    c = center - m
+    z = c + offsets
     zsq = z * z
     den = two_sigma + zsq
-    if kind == "gaussian":
-        pair_num = 2.0 * c * (two_sigma + c * c - offsets_sq)
-        f_val = 0.5 * float(weights @ (pair_num / (den * den[::-1])))
-    else:
-        f_val = float(weights @ (z / den))
+    pair_num = 2.0 * c * (two_sigma + c * c - offsets_sq)
+    f_val = 0.5 * float(weights @ (pair_num / (den * den[::-1])))
     g_val = float(weights @ np.log1p(zsq / two_sigma))
     h_val = float(weights @ ((alpha * zsq - sigma) / den))
-    vals = (weight * (f_val * density), weight * (g_val * density),
-            weight * (h_val * density))
+    vals = (weight * f_val, weight * g_val, weight * h_val)
     if not jacobian:
         return vals, None
     # with den = 2 sigma + z^2 and dz/dm = -1, every entry is one of these
@@ -213,7 +209,7 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
            (-2.0 * z_den, 0.0, -zsq_den),
            (-two_sigma * shape * z_den2, alpha * zsq_den,
             -sigma * shape * zsq_den2))
-    return vals, [[weight * (v * density) for v in row] for row in jac]
+    return vals, [[weight * v for v in row] for row in jac]
 
 
 def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
@@ -712,16 +708,18 @@ class InverseReport:
 def _inverse_residual(x, eps, alpha, sigma, n_nodes):
     """(G, H) at m = 0 and their Jacobian in x = (ln v_g, ln m_o) for the
     inverse problem on (1 - eps) N(0, v_g) + eps N(m_o, 1); None outside
-    its domain |ln v_g| <= 30, ln m_o <= ln MIXTURE_LIMIT.
+    its domain |ln v_g| <= 30, m_o <= MIXTURE_LIMIT.
 
     At m = m_g the generative terms depend on v_g only through v_g / sigma,
     so their ln v_g column is minus their ln sigma column; the outlier
     terms depend on m_o - m, so their m_o column is minus their m column.
     """
     lv, lm = x
-    if abs(lv) > 30.0 or lm > math.log(MIXTURE_LIMIT):
+    # exp(ln 1e50) rounds above 1e50, so the bound is checked on m_o, its
+    # log capped below exp's overflow
+    offset = math.exp(min(lm, 709.0))
+    if abs(lv) > 30.0 or not offset <= MIXTURE_LIMIT:
         return None
-    offset = math.exp(lm)
     (_, g_gen, h_gen), j_gen = _component_fgh(
         0.0, alpha, sigma, 1.0 - eps, "gaussian", 0.0, math.exp(lv), n_nodes,
         jacobian=True)
@@ -751,7 +749,7 @@ def verify_variance_correction(alpha, sigma,
     if not all(0.0 <= eps < 1.0 for eps in eps_seq):
         raise ConditionError("epsilon must lie in [0, 1)")
     v_p = sigma / (alpha - solve_A(alpha))
-    consts = correction_constants(alpha, nodes=DYNAMICS_NODES_DEFAULT)
+    consts = correction_constants(alpha)
     rows = []
     for eps in eps_seq:
         if eps == 0.0:

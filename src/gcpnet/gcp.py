@@ -30,7 +30,7 @@ from .special import (alpha_table, delta_psi, gauss_weighted_integral,
 
 LOG_2PI = math.log(2.0 * math.pi)
 # Gauss-Hermite order of the log integral in correction_constants
-CORRECTION_NODES = 128
+CORRECTION_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ class CorrectionConstants:
     b: float
 
 
-def correction_constants(alpha: float,
-                         nodes: int | None = None) -> CorrectionConstants:
+def correction_constants(alpha: float) -> CorrectionConstants:
     """b0, b1, b at this alpha.
 
     The constants are exactly sigma-free: every integrand depends on y only
@@ -196,7 +195,7 @@ def correction_constants(alpha: float,
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     s = 2.0 * (alpha - solve_A(alpha))
-    rule = hermite_rule(nodes if nodes is not None else CORRECTION_NODES)
+    rule = hermite_rule(CORRECTION_NODES)
     mean_log = gauss_weighted_integral(lambda y: np.log1p(y * y / s), rule)
     slope = log_gap_slope(s)
     return CorrectionConstants(b0=-mean_log - delta_psi(alpha),

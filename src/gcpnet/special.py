@@ -120,9 +120,9 @@ def erfcx(x: float) -> float:
 class QuadratureRule:
     """Immutable node/weight pair.
 
-    A `hermite_rule` integrates against the standard normal density
-    (weights sum to 1); a `legendre_rule` integrates dy over [lo, hi]
-    (weights sum to hi - lo).
+    Both are standardized expectation rules, exactly antisymmetric, with
+    weights that sum to 1: a `hermite_rule` over y ~ N(0, 1), a
+    `legendre_rule` over y ~ U(-1, 1).
     """
 
     nodes: np.ndarray
@@ -200,16 +200,14 @@ def hermite_rule(n: int) -> QuadratureRule:
                      4 ** j / (n * math.comb(2 * j, j)), n)
 
 
-def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
-    """Gauss-Legendre rule mapped onto [lo, hi]; weights carry the dy measure.
+def legendre_rule(n: int) -> QuadratureRule:
+    """Standardized Gauss-Legendre rule: exact for E[p(y)], y ~ U(-1, 1).
 
     Newton on the three-term recurrence from Tricomi's approximation, over
-    the positive nodes at once.  The weight 2/((1-x^2) P_n'^2) moves by
+    the positive nodes at once.  The weight 1/((1-x^2) P_n'^2) moves by
     2x/(1-x^2) per unit of node error, 5e-12 for the end node of n = 512
     rounded to a double, so it is taken to first order at the exact root.
     """
-    if not lo < hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
     k = np.arange(1, n // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1)
                                                    / (4 * n + 2))
@@ -225,13 +223,11 @@ def legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     else:
         raise NumericError(f"Legendre nodes did not converge at n={n}")
     one_minus_sq = (1.0 - x) * (1.0 + x)
-    weights = 2.0 / (one_minus_sq * slope * slope) * (
+    weights = 1.0 / (one_minus_sq * slope * slope) * (
         1.0 + 2.0 * x * step / one_minus_sq)
     j = (n - 1) // 2
-    std = _mirrored((x - step)[::-1], weights[::-1],
-                    2 * 16 ** j / (n * math.comb(2 * j, j)) ** 2, n)
-    half = 0.5 * (hi - lo)
-    return QuadratureRule(0.5 * (lo + hi) + half * std.nodes, std.weights * half)
+    return _mirrored((x - step)[::-1], weights[::-1],
+                     16 ** j / (n * math.comb(2 * j, j)) ** 2, n)
 
 
 def gauss_weighted_integral(f, rule: QuadratureRule) -> float:

@@ -91,13 +91,29 @@ class TestIndicators:
 
 class TestIntegrals:
     def test_pure_generative_mean_is_a_root(self):
-        # gaussian components cancel pairwise in exact arithmetic; the
-        # uniform rule only cancels to quadrature roundoff
+        # both rules are mirrored about a component's center, so the
+        # pairwise mean integrand cancels in exact arithmetic for each kind
         f, _, _ = dyn.fgh(0.0, 1.7, 0.9, spec_at(0.0))
         assert f == 0.0
         f, _, _ = dyn.fgh(0.0, 1.7, 0.9,
                           spec_at(0.3, outlier=("uniform", -2.0, 2.0)))
-        assert abs(f) < 1e-15
+        assert f == 0.0
+
+    @pytest.mark.parametrize("kind, half", [("gaussian", 4.0),
+                                            ("uniform", 2.0)])
+    @pytest.mark.parametrize("m_g", [0.0, 1.5])
+    def test_mean_pull_is_odd_about_a_symmetric_mixture(self, kind, half,
+                                                        m_g):
+        # an outlier centered on m_g: F(m_g + d) = -F(m_g - d) to the bit,
+        # for offsets d that m_g +- d represent exactly
+        outlier = ((kind, m_g, half) if kind == "gaussian"
+                   else (kind, m_g - half, m_g + half))
+        s = spec_at(0.3, outlier=outlier, m_g=m_g)
+        for d in (2.0 ** -40, 0.375, 3.0, 40.0):
+            for alpha, sigma in ((1.7, 0.9), (30.0, 1e-3)):
+                above, _, _ = dyn.fgh(m_g + d, alpha, sigma, s)
+                below, _, _ = dyn.fgh(m_g - d, alpha, sigma, s)
+                assert above == -below != 0.0, (d, alpha, sigma)
 
     def test_outlier_equal_to_generative_changes_nothing(self):
         clean = spec_at(0.0)
@@ -159,26 +175,21 @@ def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
         nodes, w = pruned_hermite(n)
         offsets = math.sqrt(b) * nodes
         c = a - m
-        z = c + offsets
-        density = 1.0
     else:
-        rule = legendre_rule(n // 2, a, b)
+        rule = legendre_rule(n // 2)
         w = rule.weights
-        z = rule.nodes - m
-        density = 1.0 / (b - a)
+        offsets = 0.5 * (b - a) * rule.nodes
+        c = 0.5 * (a + b) - m
+    z = c + offsets
     zsq = z * z
     den = two_sigma + zsq
-    if kind == "gaussian":
-        pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
-        pair_den = ((two_sigma + (c + offsets) ** 2)
-                    * (two_sigma + (c - offsets) ** 2))
-        f = 0.5 * float(w @ (pair_num / pair_den))
-    else:
-        f = float(w @ (z / den))
+    pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
+    pair_den = ((two_sigma + (c + offsets) ** 2)
+                * (two_sigma + (c - offsets) ** 2))
+    f = 0.5 * float(w @ (pair_num / pair_den))
     g = float(w @ np.log1p(zsq / two_sigma))
     h = float(w @ ((alpha * zsq - sigma) / den))
-    vals = (weight * (f * density), weight * (g * density),
-            weight * (h * density))
+    vals = (weight * f, weight * g, weight * h)
     inv = 1.0 / den
     z_inv, zsq_inv = z * inv, zsq * inv
     z_den2, zsq_den2 = w @ (z_inv * inv), w @ (zsq_inv * inv)
@@ -189,7 +200,7 @@ def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
         [-two_sigma * shape * z_den2, alpha * (w @ zsq_inv),
          -sigma * shape * zsq_den2],
     ])
-    return vals, weight * (jac * density)
+    return vals, weight * jac
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -229,7 +240,7 @@ def gaussian_integrands(m, alpha, sigma, a, b, nodes):
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_pruned_hermite_rule_matches_the_full_rule(n):
-    weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, n)
+    _, weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, n)
     assert np.array_equal(offsets, -offsets[::-1])
     assert np.array_equal(weights, weights[::-1])
     full = hermite_rule(n)
@@ -272,9 +283,18 @@ def test_pruned_hermite_rule_matches_the_full_rule(n):
 
 
 def test_small_hermite_rules_keep_every_node():
-    weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, 16)
+    _, weights, offsets, _ = dyn._component_nodes("gaussian", 0.0, 1.0, 16)
     np.testing.assert_array_equal(weights, hermite_rule(16).weights)
     np.testing.assert_array_equal(offsets, hermite_rule(16).nodes)
+
+
+def test_uniform_components_keep_every_legendre_node():
+    center, weights, offsets, _ = dyn._component_nodes("uniform", -4.0,
+                                                       16.0, 1024)
+    rule = legendre_rule(512)
+    assert center == 6.0
+    np.testing.assert_array_equal(weights, rule.weights)
+    np.testing.assert_array_equal(offsets, 10.0 * rule.nodes)
 
 
 class TestSolve:
@@ -489,9 +509,9 @@ class TestEquilibrium:
         counts = []
         legendre = dyn.legendre_rule
 
-        def recording(n, lo, hi):
+        def recording(n):
             counts.append(n)
-            return legendre(n, lo, hi)
+            return legendre(n)
 
         monkeypatch.setattr(dyn, "legendre_rule", recording)
         # node data is cached per component; start cold so every rule the
@@ -790,10 +810,16 @@ class TestVarianceVerification:
         assert math.isnan(row.v_g) and math.isnan(row.m_o)
 
     def test_inverse_domain_ends_at_the_mixture_limit(self):
+        # exp(ln 1e50) rounds to 1.0000000000000055e+50, which a spec
+        # refuses, so the last admitted log is one ulp below ln 1e50
         lm = math.log(dyn.MIXTURE_LIMIT)
-        inside = dyn._inverse_residual((0.0, lm), 0.01, 2.0, 2.0, 64)
+        edge = math.nextafter(lm, -math.inf)
+        inside = dyn._inverse_residual((0.0, edge), 0.01, 2.0, 2.0, 64)
         assert inside is not None and all(map(math.isfinite, inside[0]))
-        for x in [(0.0, math.nextafter(lm, math.inf)), (0.0, 700.0),
+        dyn.ContaminationSpec(epsilon=0.01, outlier=("gaussian",
+                                                     math.exp(edge), 1.0))
+        for x in [(0.0, lm), (0.0, math.nextafter(lm, math.inf)),
+                  (0.0, 700.0), (0.0, 1e6), (0.0, math.nan),
                   (30.5, 1.0), (-30.5, 1.0)]:
             assert dyn._inverse_residual(x, 0.01, 2.0, 2.0, 64) is None
 
@@ -860,7 +886,7 @@ class TestMeanVerification:
 
     def test_symmetric_mixture_mean_root_is_exact(self):
         s = spec_at(0.3, outlier=("uniform", -2.0, 2.0))
-        assert abs(dyn.solve_mean_root(s, 1.5, 0.9)) < 1e-15
+        assert dyn.solve_mean_root(s, 1.5, 0.9) == 0.0
         s2 = dyn.ContaminationSpec(epsilon=0.0, m_g=0.7)
         assert dyn.solve_mean_root(s2, 2.0, 1.0) == 0.7
 
