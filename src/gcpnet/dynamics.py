@@ -3,11 +3,11 @@
 The network-free limit of the belief updates is a four-variable ODE driven
 by three population integrals.  This module evaluates those integrals by
 quadrature over node data cached per mixture component, integrates the
-flow by step-doubling RK4 on plain floats (10 flow evaluations per
-attempted step plus one per new state: the full step and the first half
-step share their first stage), solves for equilibria (started from the
-small-contamination asymptotics and certified at doubled quadrature
-order), and runs the two inverse-problem verifications (first-order
+flow by the Dormand-Prince 5(4) pair on plain floats (6 flow evaluations
+per attempted step: the last stage is the next step's first, and the
+step is capped at the pair's stability boundary on stiff stretches),
+solves for equilibria (started from the small-contamination asymptotics
+and certified at doubled quadrature order), and runs the two inverse-problem verifications (first-order
 variance correction, super-polynomial mean closeness).  Equilibria,
 inverse problems and mean roots share one damped Newton with analytic
 Jacobians, which gives up after 30 iterations.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -167,12 +168,12 @@ def _component_nodes(kind, a, b, n_nodes):
     return center, rule.weights[kept], offsets, offsets_sq
 
 
-def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
-                   jacobian=False):
+def _component_fgh(m, alpha, sigma, weight, nodes, jacobian=False):
     """One mixture component's contribution to (F, G, H), and with
     `jacobian` its part of their derivatives in (m, ln alpha, ln sigma).
 
-    Every component is an expectation over z = c + offsets with c its
+    `nodes` is the component's node data as `_component_nodes` returns
+    it: every component is an expectation over z = c + offsets with c its
     center less m.  The mean integrand is evaluated pairwise over the
     mirrored nodes, so F is exactly odd in c and vanishes exactly at a
     symmetric mixture instead of cancelling catastrophically; the nodes
@@ -181,8 +182,7 @@ def _component_fgh(m, alpha, sigma, weight, kind, a, b, n_nodes,
     floats, or None unless asked for.
     """
     two_sigma = 2.0 * sigma
-    center, weights, offsets, offsets_sq = _component_nodes(kind, a, b,
-                                                            n_nodes)
+    center, weights, offsets, offsets_sq = nodes
     c = center - m
     z = c + offsets
     zsq = z * z
@@ -227,8 +227,9 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     f = g = h = 0.0
     jac = [[0.0] * 3 for _ in range(3)] if jacobian else None
     for weight, kind, a, b in spec.components():
-        (df, dg, dh), djac = _component_fgh(m, alpha, sigma, weight, kind,
-                                            a, b, n_nodes, jacobian)
+        (df, dg, dh), djac = _component_fgh(
+            m, alpha, sigma, weight, _component_nodes(kind, a, b, n_nodes),
+            jacobian)
         f += df
         g += dg
         h += dh
@@ -306,15 +307,68 @@ def _finite_rates(k):
     return k
 
 
-def _rk4_step(u, k1, dt, stage):
-    """Classical RK4 step of size dt from u, given its first stage k1."""
-    half = 0.5 * dt
-    k2 = stage(tuple(x + half * k for x, k in zip(u, k1)))
-    k3 = stage(tuple(x + half * k for x, k in zip(u, k2)))
-    k4 = stage(tuple(x + dt * k for x, k in zip(u, k3)))
-    sixth = dt / 6.0
-    return tuple(x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for x, a, b, c, d in zip(u, k1, k2, k3, k4))
+# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) as exact
+# fractions: row i holds stage i+2's weights on the earlier stages, so its
+# sum is that stage's time c; the last row is the fifth-order solution, whose
+# rates are the seventh stage and the next step's first (FSAL).  DP_ERROR is
+# the fifth- less the fourth-order weights on all seven stages.
+DP_TABLEAU = (
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+     Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
+     Fraction(49, 176), Fraction(-5103, 18656)),
+    (Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
+     Fraction(-2187, 6784), Fraction(11, 84)),
+)
+DP_ERROR = (Fraction(71, 57600), Fraction(0), Fraction(-71, 16695),
+            Fraction(71, 1920), Fraction(-17253, 339200), Fraction(22, 525),
+            Fraction(-1, 40))
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_B1, _, _B3, _B4, _B5, _B6)) = (
+    tuple(map(float, row)) for row in DP_TABLEAU)
+_E1, _, _E3, _E4, _E5, _E6, _E7 = map(float, DP_ERROR)
+# |h lambda| just inside where the pair's stability region meets the
+# negative real axis (about 3.3).  Near a rest point the error control alone
+# lets the step sit on that boundary, where the stiff modes oscillate at the
+# tolerance level and the run never settles, so each accepted step caps the
+# next at STIFF_BOUND over the stiffness estimate rho (Hairer & Wanner,
+# Solving ODEs II, IV.2)
+STIFF_BOUND = 3.25
+
+
+def _dp5_step(u, k1, h, stage):
+    """One Dormand-Prince step of size h from u, given its first stage k1.
+
+    Returns the fifth-order state y7, its rates k7 (the next first stage),
+    the max-norm error against the fourth-order solution in units of the
+    tolerance, and the step cap STIFF_BOUND / rho, where rho = |k7 - k6| /
+    |y7 - y6| estimates the stiffest rate from the two stages at the
+    step's end (inf when they coincide)."""
+    k2 = stage(tuple(x + h * (_A21 * a) for x, a in zip(u, k1)))
+    k3 = stage(tuple(x + h * (_A31 * a + _A32 * b)
+                     for x, a, b in zip(u, k1, k2)))
+    k4 = stage(tuple(x + h * (_A41 * a + _A42 * b + _A43 * c)
+                     for x, a, b, c in zip(u, k1, k2, k3)))
+    k5 = stage(tuple(x + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                     for x, a, b, c, d in zip(u, k1, k2, k3, k4)))
+    y6 = tuple(x + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+               for x, a, b, c, d, e in zip(u, k1, k2, k3, k4, k5))
+    k6 = stage(y6)
+    y7 = tuple(x + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+               for x, a, c, d, e, f in zip(u, k1, k3, k4, k5, k6))
+    if not all(map(math.isfinite, y7)):
+        raise _StepReject
+    k7 = stage(y7)
+    err = max(abs(h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f
+                       + _E7 * g)) / (ATOL + RTOL * abs(y))
+              for y, a, c, d, e, f, g in zip(y7, k1, k3, k4, k5, k6, k7))
+    # y7 == y6 gives k7 == k6, which leaves rho undefined and the step free
+    dk = math.dist(k7, k6)
+    cap = STIFF_BOUND * math.dist(y7, y6) / dk if dk > 0.0 else math.inf
+    return y7, k7, err, cap
 
 
 # fgh raises on non-finite integrals and a non-finite stage rejects its
@@ -323,17 +377,19 @@ def _rk4_step(u, k1, dt, stage):
 def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
               nodes=None, max_steps=100000, settle_tol=None,
               escape_bound=None) -> Trajectory:
-    """Adaptive RK4 with step doubling and positivity rejection.
+    """Adaptive Dormand-Prince 5(4) with positivity rejection.
 
-    Each attempt takes one full step and two half steps.  The full step
-    and the first half step share their first stage f(u), which is
-    evaluated once per state and reused by rejected retries, so an attempt
-    costs 10 flow evaluations and each new state one more.  Stops early
-    when `settle_tol` is given and all normalized derivatives fall below
-    it (that derivative is the next step's first stage, so the check costs
-    nothing extra), or when `escape_bound` is given and both alpha and
-    sigma exceed it; running out of steps or shrinking the step below
-    floor marks the trajectory truncated.
+    The seventh stage of an attempt is the rates at its new state and so
+    the next attempt's first: a run costs one flow evaluation for the
+    start and 6 per attempted step.  A stage that leaves the positive
+    orthant or has non-finite rates halves the step.  After each accepted
+    step the next one is capped where the stiffest mode would leave the
+    pair's stability region.  Stops early when `settle_tol` is given and
+    all normalized derivatives fall below it (that derivative is the
+    seventh stage, so the check costs nothing extra), or when
+    `escape_bound` is given and both alpha and sigma exceed it; running
+    out of steps or shrinking the step below floor marks the trajectory
+    truncated.
     """
     evaluations = 0
 
@@ -364,31 +420,19 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
         try:
             if k1 is None:
                 k1 = rates(u)
-            first = _finite_rates(k1)
-            full = _rk4_step(u, first, dt, stage)
-            half = _rk4_step(u, first, 0.5 * dt, stage)
-            two_half = _rk4_step(half, stage(half), 0.5 * dt, stage)
-            bad = (any(x <= 0 for x in full[1:] + two_half[1:])
-                   or not all(map(math.isfinite, full + two_half)))
+            new, k_new, err, cap = _dp5_step(u, _finite_rates(k1), dt, stage)
         except _StepReject:
-            bad = True
-        if bad:
             rejected += 1
             dt *= 0.5
             if dt < 1e-14 * max(1.0, t):
                 truncated = True
                 break
             continue
-        err = max(abs(b - a) / (ATOL + RTOL * abs(b))
-                  for a, b in zip(full, two_half)) / 15.0
-        if err > 1.0:
+        if not err <= 1.0:  # a NaN estimate rejects too
             rejected += 1
             dt *= max(0.2, 0.9 * err**-0.2)
             continue
-        u = tuple(b + (b - a) / 15.0 for a, b in zip(full, two_half))
-        if any(x <= 0 for x in u[1:]):
-            u = two_half
-        k1 = None
+        u, k1 = new, k_new
         t += dt
         ts.append(t)
         rows.append(u)
@@ -396,6 +440,8 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
             dt *= min(5.0, 0.9 * err**-0.2)
         else:
             dt *= 5.0
+        if 0.0 < cap < dt:
+            dt = cap
         m, nu, alpha, beta = u
         if escape_bound is not None:
             sigma = beta * (nu + 1.0) / nu
@@ -403,9 +449,6 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
                 escaped = True
                 break
         if settle_tol is not None:
-            # u is positive, so these are its rates, which also serve as
-            # the next attempt's first stage
-            k1 = rates(u)
             scaled = [abs(k1[0]) / max(1.0, abs(m))] + [
                 abs(d) / max(abs(x), 1e-12) for d, x in zip(k1[1:], u[1:])]
             if all(r < settle_tol for r in scaled):
@@ -713,6 +756,8 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
     At m = m_g the generative terms depend on v_g only through v_g / sigma,
     so their ln v_g column is minus their ln sigma column; the outlier
     terms depend on m_o - m, so their m_o column is minus their m column.
+    Both components are the cached unit Hermite rule, the generative one
+    scaled by sqrt(v_g) here, so no Newton iterate builds node data.
     """
     lv, lm = x
     # exp(ln 1e50) rounds above 1e50, so the bound is checked on m_o, its
@@ -720,11 +765,13 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
     offset = math.exp(min(lm, 709.0))
     if abs(lv) > 30.0 or not offset <= MIXTURE_LIMIT:
         return None
+    _, weights, unit, unit_sq = _component_nodes("gaussian", 0.0, 1.0, n_nodes)
+    spread = math.sqrt(math.exp(lv)) * unit
     (_, g_gen, h_gen), j_gen = _component_fgh(
-        0.0, alpha, sigma, 1.0 - eps, "gaussian", 0.0, math.exp(lv), n_nodes,
+        0.0, alpha, sigma, 1.0 - eps, (0.0, weights, spread, spread * spread),
         jacobian=True)
     (_, g_out, h_out), j_out = _component_fgh(
-        0.0, alpha, sigma, eps, "gaussian", offset, 1.0, n_nodes,
+        0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq),
         jacobian=True)
     r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
     jac = [[-j_gen[1][2], -offset * j_out[1][0]],

@@ -5,6 +5,7 @@ change of the flow at zero contamination."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,8 +214,10 @@ def test_component_fgh_is_bitwise_the_reference(component, n):
     for m, log_alpha, log_sigma in rng.uniform(-3.0, 3.0, size=(20, 3)):
         args = (m, math.exp(log_alpha), math.exp(log_sigma), 0.3) + component
         want_vals, want_jac = reference_component_fgh(*args, n)
+        nodes = dyn._component_nodes(*component, n)
         for jacobian in (False, True):
-            vals, jac = dyn._component_fgh(*args, n, jacobian=jacobian)
+            vals, jac = dyn._component_fgh(*args[:4], nodes,
+                                           jacobian=jacobian)
             assert vals == want_vals
         np.testing.assert_array_equal(jac, want_jac)
 
@@ -256,9 +259,9 @@ def test_pruned_hermite_rule_matches_the_full_rule(n):
             alpha = math.exp(rng.uniform(-cap, cap))
             sigma = math.exp(rng.uniform(-60.0, 60.0))
             want = gaussian_integrands(m, alpha, sigma, a, b, full.nodes)
-            (f, g, h), jac = dyn._component_fgh(m, alpha, sigma, 1.0,
-                                                "gaussian", a, b, n,
-                                                jacobian=True)
+            (f, g, h), jac = dyn._component_fgh(
+                m, alpha, sigma, 1.0,
+                dyn._component_nodes("gaussian", a, b, n), jacobian=True)
             shape = 2.0 * alpha + 1.0
             # (got, coefficient, integrand) for every value and entry of J
             checks = [
@@ -349,8 +352,9 @@ class TestJacobian:
         s = spec_at(0.07, outlier=outlier)
         _, jac = dyn.fgh(0.3, 2.3, 1.4, s, jacobian=True)
         for weight, kind, a, b in s.components():
-            _, part = dyn._component_fgh(0.3, 2.3, 1.4, weight, kind, a, b,
-                                         64, jacobian=True)
+            _, part = dyn._component_fgh(
+                0.3, 2.3, 1.4, weight, dyn._component_nodes(kind, a, b, 64),
+                jacobian=True)
             for j in (jac, part):
                 assert len(j) == 3 and all(len(row) == 3 for row in j)
                 assert all(type(v) is float for row in j for v in row)
@@ -376,6 +380,85 @@ class TestFlow:
     def test_sigma_property(self):
         st = dyn.DynState(m=0.0, nu=2.0, alpha=1.0, beta=3.0)
         np.testing.assert_allclose(st.sigma, 4.5, rtol=1e-15)
+
+
+def full_tableau():
+    """Dormand-Prince's seven stages as a 7x7 matrix of Fractions, with the
+    fifth-order weights (the last row, b7 = 0) and the fourth-order ones."""
+    a = [[Fraction(0)] * 7 for _ in range(7)]
+    for i, row in enumerate(dyn.DP_TABLEAU, start=1):
+        a[i][:len(row)] = row
+    b = list(dyn.DP_TABLEAU[-1]) + [Fraction(0)]
+    return a, b, [x - e for x, e in zip(b, dyn.DP_ERROR)]
+
+
+def order_conditions(a, w):
+    """sum(w * tree) - 1/gamma(tree) for every rooted tree up to order 5,
+    by order."""
+    c = [sum(row) for row in a]
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    def times(x, y):
+        return [p * q for p, q in zip(x, y)]
+
+    def av(v):
+        return [dot(row, v) for row in a]
+
+    one = [Fraction(1)] * 7
+    c2, ac = times(c, c), av(c)
+    trees = {
+        1: [(one, 1)],
+        2: [(c, 2)],
+        3: [(c2, 3), (ac, 6)],
+        4: [(times(c2, c), 4), (times(c, ac), 8), (av(c2), 12),
+            (av(ac), 24)],
+        5: [(times(c2, c2), 5), (times(c2, ac), 10),
+            (times(c, av(c2)), 15), (times(c, av(ac)), 30),
+            (times(ac, ac), 20), (av(times(c2, c)), 20),
+            (av(times(c, ac)), 40), (av(av(c2)), 60), (av(av(ac)), 120)],
+    }
+    return {order: [dot(w, t) - Fraction(1, g) for t, g in rows]
+            for order, rows in trees.items()}
+
+
+def test_dormand_prince_tableau_is_exact():
+    a, b, b_star = full_tableau()
+    # each row sums to its stage time; the last row is both the seventh
+    # stage and the fifth-order weights b, so that stage sits at the new
+    # state (c = 1) and its rates are the next step's first (FSAL)
+    assert [sum(row) for row in a] == [0, Fraction(1, 5), Fraction(3, 10),
+                                       Fraction(4, 5), Fraction(8, 9), 1, 1]
+    assert sum(b) == 1 and sum(dyn.DP_ERROR) == 0
+    fifth, fourth = order_conditions(a, b), order_conditions(a, b_star)
+    assert all(v == 0 for order in fifth.values() for v in order)
+    assert all(v == 0 for order in range(1, 5) for v in fourth[order])
+    # the embedded solution is exactly fourth order, so the error estimate
+    # measures the fifth-order terms
+    assert any(v != 0 for v in fourth[5])
+
+
+def test_written_out_stages_follow_the_tableau():
+    # a generic loop over the exact tableau gives bitwise the same step,
+    # error and stiffness cap as the written-out tuple expressions
+    def f(u):
+        m, nu, alpha, beta = u
+        return (-m * alpha + 0.3, nu * (1.0 - nu), math.sin(alpha) - alpha,
+                -beta / (1.0 + m * m))
+
+    u, h = (0.4, 1.3, 2.1, 0.7), 0.37
+    ks, points = [f(u)], [u]
+    for row in dyn.DP_TABLEAU:
+        points.append(tuple(x + h * sum(float(w) * k[i]
+                                        for w, k in zip(row, ks))
+                            for i, x in enumerate(u)))
+        ks.append(f(points[-1]))
+    err = max(abs(h * sum(float(e) * k[i] for e, k in zip(dyn.DP_ERROR, ks)))
+              / (dyn.ATOL + dyn.RTOL * abs(y)) for i, y in enumerate(points[-1]))
+    cap = (dyn.STIFF_BOUND * math.dist(points[6], points[5])
+           / math.dist(ks[6], ks[5]))
+    assert dyn._dp5_step(u, ks[0], h, f) == (points[6], ks[6], err, cap)
 
 
 class TestIntegrate:
@@ -432,28 +515,40 @@ class TestIntegrate:
         monkeypatch.setattr(dyn, "fgh", counting)
         return calls
 
-    def test_escape_attempt_costs_ten_evaluations(self, monkeypatch):
-        # the full step and the first half step share f(u), and a rejected
-        # retry reuses it; the escaping state's own f(u) is never needed
+    def test_escape_attempt_costs_six_evaluations(self, monkeypatch):
+        # the start costs one evaluation and each attempt six: its seventh
+        # stage is the next attempt's first, and a rejected retry reuses it
         calls = self.count_fgh(monkeypatch)
         start = dyn.DynState(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
         traj = dyn.integrate(start, spec_at(0.0), t_end=5e6, escape_bound=1e3)
         accepted = len(traj.t) - 1
         assert traj.escaped and traj.rejected > 0
         assert calls[0] == traj.evaluations
-        assert traj.evaluations == 10 * (accepted + traj.rejected) + accepted
+        assert traj.evaluations == 1 + 6 * (accepted + traj.rejected)
 
     def test_settle_check_costs_no_extra_evaluation(self, monkeypatch):
-        # the settle check's f(u) is the next step's first stage, so only
-        # the start state adds one beyond the escape run's count
+        # the settle check's f(u) is the seventh stage of the step that
+        # reached u, so the count is the escape run's formula
         calls = self.count_fgh(monkeypatch)
         start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
         traj = dyn.integrate(start, spec_at(0.1), t_end=600.0,
                              settle_tol=1e-8)
         accepted = len(traj.t) - 1
-        assert traj.settled and traj.rejected > 0
+        assert traj.settled
         assert calls[0] == traj.evaluations
-        assert traj.evaluations == 10 * (accepted + traj.rejected) + accepted + 1
+        assert traj.evaluations == 1 + 6 * (accepted + traj.rejected)
+
+    def test_stiffness_cap_settles_near_the_rest_point(self):
+        # near the rest point at eps = 0.1 the stiffest rate is about -0.99;
+        # uncapped, the step sits at h ~ 3 on the pair's stability boundary
+        # and the rates hover at the tolerance, so the run never settles
+        # (3,319 evaluations to t = 1000); capped, it settles in 661
+        s = spec_at(0.1)
+        eq = dyn.equilibrium(s)
+        start = dyn.DynState(m=eq.m + 0.01, nu=1.0, alpha=eq.alpha * 1.01,
+                             beta=0.5 * eq.sigma * 1.01)
+        traj = dyn.integrate(start, s, t_end=1000.0, settle_tol=1e-9)
+        assert traj.settled and traj.evaluations <= 1300
 
     def test_positivity_rejection_shrinks_the_step(self, monkeypatch):
         # from alpha = 1e-6 the first trial steps leave the positive orthant
@@ -895,3 +990,44 @@ class TestMeanVerification:
         m = dyn.solve_mean_root(s, 2.0, 2.0)
         f, _, _ = dyn.fgh(m, 2.0, 2.0, s)
         assert abs(f) < 1e-13
+
+    @staticmethod
+    def spec_keyed_inverse_residual(x, eps, alpha, sigma, n_nodes):
+        # the inverse residual as each iterate's own mixture spec gives it:
+        # fresh node data for N(0, v_g) and N(m_o, 1), bypassing the cache
+        lv, lm = x
+        offset = math.exp(min(lm, 709.0))
+        if abs(lv) > 30.0 or not offset <= dyn.MIXTURE_LIMIT:
+            return None
+        build = dyn._component_nodes.__wrapped__
+        (_, g_gen, h_gen), j_gen = dyn._component_fgh(
+            0.0, alpha, sigma, 1.0 - eps,
+            build("gaussian", 0.0, math.exp(lv), n_nodes), jacobian=True)
+        (_, g_out, h_out), j_out = dyn._component_fgh(
+            0.0, alpha, sigma, eps, build("gaussian", offset, 1.0, n_nodes),
+            jacobian=True)
+        return ((g_gen + g_out + dyn.delta_psi(alpha), h_gen + h_out),
+                [[-j_gen[1][2], -offset * j_out[1][0]],
+                 [-j_gen[2][2], -offset * j_out[2][0]]])
+
+    @pytest.mark.parametrize("alpha, sigma, eps", [
+        (2.0, 2.0, dyn.DEFAULT_VERIFY_EPS), (6.0, 1.0, (0.01, 0.005, 0.0025))])
+    def test_scaled_unit_rule_is_bitwise_the_spec_rule(self, monkeypatch,
+                                                      alpha, sigma, eps):
+        got = repr(dyn.verify_mean_exponential(alpha, sigma, eps_seq=eps))
+        monkeypatch.setattr(dyn, "_inverse_residual",
+                            self.spec_keyed_inverse_residual)
+        assert got == repr(dyn.verify_mean_exponential(alpha, sigma,
+                                                       eps_seq=eps))
+
+    def test_inverse_rows_reuse_the_cached_unit_rule(self):
+        # the inverse Newton iterates build no node data of their own; only
+        # the mean roots' mixtures, one pair per row, are new to the cache
+        info = dyn._component_nodes.cache_info
+        dyn._component_nodes.cache_clear()
+        dyn.verify_variance_correction(2.0, 2.0)
+        assert info().misses <= 2
+        dyn.verify_mean_exponential(2.0, 2.0)
+        before = info().misses
+        dyn.verify_mean_exponential(2.0, 2.0)
+        assert info().misses - before <= 2
