@@ -2,7 +2,8 @@
 
 The network-free limit of the belief updates is a four-variable ODE driven
 by three population integrals.  This module evaluates those integrals by
-quadrature over node data cached per mixture component, integrates the
+quadrature over node data cached per mixture component (sums in numpy's
+fixed pairwise order, so no BLAS kernel changes a result), integrates the
 flow by the Dormand-Prince 5(4) pair on plain floats (6 flow evaluations
 per attempted step: the last stage is the next step's first, and the
 step is capped at the pair's stability boundary on stiff stretches),
@@ -168,48 +169,48 @@ def _component_nodes(kind, a, b, n_nodes):
     return center, rule.weights[kept], offsets, offsets_sq
 
 
-def _component_fgh(m, alpha, sigma, weight, nodes, jacobian=False):
-    """One mixture component's contribution to (F, G, H), and with
-    `jacobian` its part of their derivatives in (m, ln alpha, ln sigma).
+def _component_sums(m, alpha, sigma, weight, nodes, jacobian=False):
+    """One mixture component's expectations, as Python floats times
+    `weight`: of F's pair integrand, ln(1 + z^2 / 2 sigma) and (alpha z^2 -
+    sigma) / den, and with `jacobian` of z / den, z^2 / den, z / den^2,
+    z^2 / den^2 and (z^2 - 2 sigma) / den^2, where den = 2 sigma + z^2.
 
     `nodes` is the component's node data as `_component_nodes` returns
-    it: every component is an expectation over z = c + offsets with c its
-    center less m.  The mean integrand is evaluated pairwise over the
-    mirrored nodes, so F is exactly odd in c and vanishes exactly at a
-    symmetric mixture instead of cancelling catastrophically; the nodes
-    are exactly antisymmetric, so the mirror node's denominator is `den`
-    reversed.  Returns ((f, g, h), jac) with jac three rows of Python
-    floats, or None unless asked for.
+    it: z = c + offsets with c its center less m.  F's integrand is z / den
+    averaged over a node and its mirror, c (2 sigma + c^2 - offsets^2) /
+    (den den_mirror), so F is exactly odd in c and vanishes exactly at a
+    symmetric mixture; the nodes are exactly antisymmetric, so the mirror's
+    den is `den` reversed.  Each weighted row is summed by numpy's pairwise
+    reduction, whose order no BLAS kernel changes.
     """
     two_sigma = 2.0 * sigma
     center, weights, offsets, offsets_sq = nodes
     c = center - m
+    rows = np.empty((8 if jacobian else 3, len(weights)))
+    f, g, h = rows[0], rows[1], rows[2]
     z = c + offsets
     zsq = z * z
     den = two_sigma + zsq
-    pair_num = 2.0 * c * (two_sigma + c * c - offsets_sq)
-    f_val = 0.5 * float(weights @ (pair_num / (den * den[::-1])))
-    g_val = float(weights @ np.log1p(zsq / two_sigma))
-    h_val = float(weights @ ((alpha * zsq - sigma) / den))
-    vals = (weight * f_val, weight * g_val, weight * h_val)
-    if not jacobian:
-        return vals, None
-    # with den = 2 sigma + z^2 and dz/dm = -1, every entry is one of these
-    # five expectations; d/d ln alpha of G is the digamma gap's, added in fgh
-    inv = 1.0 / den
-    z_inv = z * inv
-    zsq_inv = zsq * inv
-    z_den = float(weights @ z_inv)
-    zsq_den = float(weights @ zsq_inv)
-    z_den2 = float(weights @ (z_inv * inv))
-    zsq_den2 = float(weights @ (zsq_inv * inv))
-    f_m = float(weights @ ((zsq - two_sigma) * inv * inv))
-    shape = 2.0 * alpha + 1.0
-    jac = ((f_m, 0.0, -two_sigma * z_den2),
-           (-2.0 * z_den, 0.0, -zsq_den),
-           (-two_sigma * shape * z_den2, alpha * zsq_den,
-            -sigma * shape * zsq_den2))
-    return vals, [[weight * v for v in row] for row in jac]
+    # out and axis by position: keywords cost more than these small ufuncs
+    np.subtract(two_sigma + c * c, offsets_sq, f)
+    f *= c
+    f /= den * den[::-1]
+    np.divide(zsq, two_sigma, g)
+    np.log1p(g, g)
+    np.multiply(zsq, alpha, h)
+    h -= sigma
+    h /= den
+    if jacobian:
+        z_den, zsq_den, z_den2, zsq_den2, f_m = rows[3:]
+        np.divide(z, den, z_den)
+        np.divide(zsq, den, zsq_den)
+        np.divide(z_den, den, z_den2)
+        np.divide(zsq_den, den, zsq_den2)
+        np.subtract(zsq, two_sigma, f_m)
+        f_m /= den
+        f_m /= den
+    rows *= weights
+    return [weight * v for v in np.add.reduce(rows, 1).tolist()]
 
 
 def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
@@ -224,23 +225,22 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
-    f = g = h = 0.0
-    jac = [[0.0] * 3 for _ in range(3)] if jacobian else None
+    sums = [0.0] * (8 if jacobian else 3)
     for weight, kind, a, b in spec.components():
-        (df, dg, dh), djac = _component_fgh(
-            m, alpha, sigma, weight, _component_nodes(kind, a, b, n_nodes),
-            jacobian)
-        f += df
-        g += dg
-        h += dh
-        if jacobian:
-            for row, drow in zip(jac, djac):
-                for j, v in enumerate(drow):
-                    row[j] += v
+        part = _component_sums(m, alpha, sigma, weight,
+                               _component_nodes(kind, a, b, n_nodes), jacobian)
+        sums = [s + p for s, p in zip(sums, part)]
+    f, g, h = sums[:3]
     g += delta_psi(alpha)
     finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
     if jacobian:
-        jac[1][1] = alpha * delta_trigamma(alpha)
+        z_den, zsq_den, z_den2, zsq_den2, f_m = sums[3:]
+        # dz/dm = -1; d/d ln alpha of G is the digamma gap's
+        two_sigma, shape = 2.0 * sigma, 2.0 * alpha + 1.0
+        jac = [[f_m, 0.0, -two_sigma * z_den2],
+               [-2.0 * z_den, alpha * delta_trigamma(alpha), -zsq_den],
+               [-two_sigma * shape * z_den2, alpha * zsq_den,
+                -sigma * shape * zsq_den2]]
         finite = finite and all(map(math.isfinite, jac[0] + jac[1] + jac[2]))
     if not finite:
         raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "
@@ -527,10 +527,11 @@ def _damped_newton(evaluate, x0, tol, caps=None):
     (r, J), J a list of rows of Python floats, or None outside the domain.
     Returns (root, iterations), the root a tuple.
 
-    A damped step is accepted when either the natural level falls,
+    A damped step is accepted when either the residual norm falls, tested
+    first because it costs no solve, or the natural level falls,
     |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
     test, which follows curved valleys where the plain residual norm is
-    dominated by one component), or the residual norm falls.  `caps(x)`
+    dominated by one component).  `caps(x)`
     bounds each coordinate's step from x.  Raises NonConvergenceError
     when the line search stalls or after NEWTON_MAX_ITER iterations.
     """
@@ -558,9 +559,9 @@ def _damped_newton(evaluate, x0, tol, caps=None):
             current = evaluate(trial)
             if current is not None:
                 rt, jt = current
-                natural = math.hypot(*_solve(jac, rt, x))
-                if (natural < (1.0 - 0.25 * lam) * step_norm
-                        or math.hypot(*rt) < rnorm2):
+                if (math.hypot(*rt) < rnorm2
+                        or math.hypot(*_solve(jac, rt, x))
+                        < (1.0 - 0.25 * lam) * step_norm):
                     x, r, jac = trial, rt, jt
                     break
             lam *= 0.5
@@ -767,15 +768,16 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
         return None
     _, weights, unit, unit_sq = _component_nodes("gaussian", 0.0, 1.0, n_nodes)
     spread = math.sqrt(math.exp(lv)) * unit
-    (_, g_gen, h_gen), j_gen = _component_fgh(
+    _, g_gen, h_gen, _, zsq_den, _, zsq_den2, _ = _component_sums(
         0.0, alpha, sigma, 1.0 - eps, (0.0, weights, spread, spread * spread),
         jacobian=True)
-    (_, g_out, h_out), j_out = _component_fgh(
+    _, g_out, h_out, z_den, _, z_den2, _, _ = _component_sums(
         0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq),
         jacobian=True)
     r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
-    jac = [[-j_gen[1][2], -offset * j_out[1][0]],
-           [-j_gen[2][2], -offset * j_out[2][0]]]
+    shape = 2.0 * alpha + 1.0
+    jac = [[zsq_den, 2.0 * offset * z_den],
+           [sigma * shape * zsq_den2, 2.0 * sigma * shape * offset * z_den2]]
     return r, jac
 
 

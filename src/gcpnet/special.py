@@ -231,9 +231,11 @@ def legendre_rule(n: int) -> QuadratureRule:
 
 
 def gauss_weighted_integral(f, rule: QuadratureRule) -> float:
-    """Sum w_i f(y_i); for a hermite rule this approximates E[f(y)], y~N(0,1)."""
+    """Sum w_i f(y_i); for a hermite rule this approximates E[f(y)], y~N(0,1).
+    numpy's pairwise reduction fixes the order of the sum, so no BLAS kernel
+    can change its bits."""
     vals = np.asarray(f(rule.nodes), dtype=float)
-    acc = float(np.dot(rule.weights, vals))
+    acc = float(np.add.reduce(rule.weights * vals))
     if not math.isfinite(acc):
         raise NumericError("integrand produced a non-finite value at a node")
     return acc
@@ -277,12 +279,6 @@ def _gap_state(x: float):
         r = 1.0 - c
     w = 0.5 * (r - 2.0 * x * x * c)
     return r, c, 0.5 * r / c, w / c, r * c / w
-
-
-def rational_mean_complement(s: float) -> float:
-    """R(s) = s * E[1/(s + y^2)] = sqrt(pi s/2) erfcx(sqrt(s/2)) for s >= 0,
-    so that E[y^2/(s + y^2)] = 1 - R(s).  Monotone increasing from 0 to 1."""
-    return _gap_state(math.sqrt(0.5 * s))[0]
 
 
 def log_gap_slope(s: float) -> float:

@@ -169,8 +169,9 @@ def pruned_hermite(n):
 
 
 def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
-    """One component's values and Jacobian with the rules built on every
-    call and the mirror denominator computed from c - offsets."""
+    """One component's eight weighted expectations with the rules built on
+    every call, the mirror denominator computed from c - offsets, and each
+    integrand summed on its own in numpy's pairwise order."""
     two_sigma = 2.0 * sigma
     if kind == "gaussian":
         nodes, w = pruned_hermite(n)
@@ -184,24 +185,14 @@ def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
     z = c + offsets
     zsq = z * z
     den = two_sigma + zsq
-    pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
-    pair_den = ((two_sigma + (c + offsets) ** 2)
-                * (two_sigma + (c - offsets) ** 2))
-    f = 0.5 * float(w @ (pair_num / pair_den))
-    g = float(w @ np.log1p(zsq / two_sigma))
-    h = float(w @ ((alpha * zsq - sigma) / den))
-    vals = (weight * f, weight * g, weight * h)
-    inv = 1.0 / den
-    z_inv, zsq_inv = z * inv, zsq * inv
-    z_den2, zsq_den2 = w @ (z_inv * inv), w @ (zsq_inv * inv)
-    shape = 2.0 * alpha + 1.0
-    jac = np.array([
-        [w @ ((zsq - two_sigma) * inv * inv), 0.0, -two_sigma * z_den2],
-        [-2.0 * (w @ z_inv), 0.0, -(w @ zsq_inv)],
-        [-two_sigma * shape * z_den2, alpha * (w @ zsq_inv),
-         -sigma * shape * zsq_den2],
-    ])
-    return vals, weight * jac
+    integrands = [
+        c * (two_sigma + c * c - offsets * offsets)
+        / ((two_sigma + (c + offsets) ** 2) * (two_sigma + (c - offsets) ** 2)),
+        np.log1p(zsq / two_sigma),
+        (alpha * zsq - sigma) / den,
+        z / den, zsq / den, z / den / den, zsq / den / den,
+        (zsq - two_sigma) / den / den]
+    return [weight * float(np.add.reduce(w * v)) for v in integrands]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -209,36 +200,31 @@ def reference_component_fgh(m, alpha, sigma, weight, kind, a, b, n):
                                        ("gaussian", -1.5, 4.0),
                                        ("uniform", -4.0, 16.0)])
 def test_component_fgh_is_bitwise_the_reference(component, n):
-    # the cached nodes and the reversed mirror denominator change no bit
+    # the cached nodes, the reversed mirror denominator and the one
+    # buffer's row reductions change no bit
     rng = np.random.default_rng(11)
     for m, log_alpha, log_sigma in rng.uniform(-3.0, 3.0, size=(20, 3)):
         args = (m, math.exp(log_alpha), math.exp(log_sigma), 0.3) + component
-        want_vals, want_jac = reference_component_fgh(*args, n)
+        want = reference_component_fgh(*args, n)
         nodes = dyn._component_nodes(*component, n)
-        for jacobian in (False, True):
-            vals, jac = dyn._component_fgh(*args[:4], nodes,
-                                           jacobian=jacobian)
-            assert vals == want_vals
-        np.testing.assert_array_equal(jac, want_jac)
+        assert dyn._component_sums(*args[:4], nodes) == want[:3]
+        assert dyn._component_sums(*args[:4], nodes, jacobian=True) == want
 
 
 def gaussian_integrands(m, alpha, sigma, a, b, nodes):
-    """name -> integrand at the nodes, for every integral that a gaussian
-    N(a, b) component's F, G, H and Jacobian are read from, each rounded
-    as _component_fgh rounds it."""
+    """The integrands at the nodes, in `_component_sums` order, that a
+    gaussian N(a, b) component's expectations are read from, each rounded
+    as `_component_sums` rounds it."""
     two_sigma = 2.0 * sigma
     offsets = math.sqrt(b) * nodes
     c = a - m
     z = c + offsets
     zsq = z * z
     den = two_sigma + zsq
-    inv = 1.0 / den
-    pair_num = 2.0 * c * (two_sigma + c * c - offsets * offsets)
-    return {"f": 0.5 * (pair_num / (den * den[::-1])),
-            "g": np.log1p(zsq / two_sigma), "h": (alpha * zsq - sigma) / den,
-            "z_den": z * inv, "zsq_den": zsq * inv,
-            "z_den2": z * inv * inv, "zsq_den2": zsq * inv * inv,
-            "f_m": (zsq - two_sigma) * inv * inv}
+    return [c * (two_sigma + c * c - offsets * offsets) / (den * den[::-1]),
+            np.log1p(zsq / two_sigma), (alpha * zsq - sigma) / den,
+            z / den, zsq / den, z / den / den, zsq / den / den,
+            (zsq - two_sigma) / den / den]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -259,30 +245,19 @@ def test_pruned_hermite_rule_matches_the_full_rule(n):
             alpha = math.exp(rng.uniform(-cap, cap))
             sigma = math.exp(rng.uniform(-60.0, 60.0))
             want = gaussian_integrands(m, alpha, sigma, a, b, full.nodes)
-            (f, g, h), jac = dyn._component_fgh(
+            got = dyn._component_sums(
                 m, alpha, sigma, 1.0,
                 dyn._component_nodes("gaussian", a, b, n), jacobian=True)
-            shape = 2.0 * alpha + 1.0
-            # (got, coefficient, integrand) for every value and entry of J
-            checks = [
-                (f, 1.0, "f"), (g, 1.0, "g"), (h, 1.0, "h"),
-                (jac[0][0], 1.0, "f_m"),
-                (jac[0][2], -2.0 * sigma, "z_den2"),
-                (jac[1][0], -2.0, "z_den"), (jac[1][2], -1.0, "zsq_den"),
-                (jac[2][0], -2.0 * sigma * shape, "z_den2"),
-                (jac[2][1], alpha, "zsq_den"),
-                (jac[2][2], -sigma * shape, "zsq_den2")]
-            for got, coef, name in checks:
-                v = want[name]
-                # four roundings of sum |w v|, and what the dropped nodes
-                # carry: at most 2^-63 of the mass times their largest
-                # |v|, which leads for J when the peak of z / den^2 at
-                # z = 0 lies among them (m far out, sigma small)
-                bound = abs(coef) * (
-                    4.0 * 2.0 ** -52 * float(full.weights @ np.abs(v))
-                    + 2.0 ** -63 * float(np.abs(v[dropped]).max()))
-                assert abs(got - coef * float(full.weights @ v)) <= bound, (
-                    name, m, alpha, sigma, a, b)
+            for i, (value, v) in enumerate(zip(got, want)):
+                # four roundings of sum |w v| from the full rule's correctly
+                # rounded sum, and what the dropped nodes carry: at most
+                # 2^-63 of the mass times their largest |v|, which leads for
+                # z / den^2 when its peak at z = 0 lies among them (m far
+                # out, sigma small)
+                bound = (4.0 * 2.0 ** -52 * float(full.weights @ np.abs(v))
+                         + 2.0 ** -63 * float(np.abs(v[dropped]).max()))
+                assert abs(value - math.fsum(full.weights * v)) <= bound, (
+                    i, m, alpha, sigma, a, b)
 
 
 def test_small_hermite_rules_keep_every_node():
@@ -351,13 +326,13 @@ class TestJacobian:
         # type, not isinstance: np.float64 subclasses float
         s = spec_at(0.07, outlier=outlier)
         _, jac = dyn.fgh(0.3, 2.3, 1.4, s, jacobian=True)
+        assert len(jac) == 3 and all(len(row) == 3 for row in jac)
+        assert all(type(v) is float for row in jac for v in row)
         for weight, kind, a, b in s.components():
-            _, part = dyn._component_fgh(
+            sums = dyn._component_sums(
                 0.3, 2.3, 1.4, weight, dyn._component_nodes(kind, a, b, 64),
                 jacobian=True)
-            for j in (jac, part):
-                assert len(j) == 3 and all(len(row) == 3 for row in j)
-                assert all(type(v) is float for row in j for v in row)
+            assert len(sums) == 8 and all(type(v) is float for v in sums)
 
 
 class TestFlow:
@@ -581,6 +556,8 @@ class TestIntegrate:
         assert traj.t[0] == 0.0
 
 
+CRITERION_3_EPS = [0.04, 0.02, 0.01, 0.005, 4e-4, 2e-4, 1e-4, 5e-5, 2.5e-5,
+                   1.25e-5]
 FROZEN_SWEEP = {
     # independent continuation chain, certified at doubled node count
     0.04: (3.681245313467916e-2, 1.5905134103872898, 1.259420594251166),
@@ -717,12 +694,25 @@ class TestEquilibrium:
             return guess(spec)
 
         monkeypatch.setattr(dyn, "asymptotic_guess", recording)
-        grid = [0.04, 0.02, 0.01, 0.005, 4e-4, 2e-4, 1e-4, 5e-5, 2.5e-5,
-                1.25e-5]
-        rows = dyn.equilibrium_sweep(grid, outlier=outlier)
+        rows = dyn.equilibrium_sweep(CRITERION_3_EPS, outlier=outlier)
         assert starts == [0.04]
         assert all(eq.converged and eq.max_residual < dyn.CERT_TOL
                    for _, eq in rows)
+
+    def test_line_search_tests_the_residual_before_the_natural_level(
+            self, monkeypatch):
+        # a trial whose residual norm falls is accepted without the solve
+        # that its natural level costs: one sweep down criterion 3's grid
+        # makes 91 solves, where testing the natural level first made 148
+        solve, calls = dyn._solve, []
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(dyn, "_solve", counting)
+        dyn.equilibrium_sweep(CRITERION_3_EPS)
+        assert len(calls) == 91
 
     def test_later_starts_are_the_secant_in_log_epsilon(self, monkeypatch):
         newton, guesses = dyn.newton_equilibrium, []
@@ -1000,15 +990,17 @@ class TestMeanVerification:
         if abs(lv) > 30.0 or not offset <= dyn.MIXTURE_LIMIT:
             return None
         build = dyn._component_nodes.__wrapped__
-        (_, g_gen, h_gen), j_gen = dyn._component_fgh(
+        _, g_gen, h_gen, _, zsq_den, _, zsq_den2, _ = dyn._component_sums(
             0.0, alpha, sigma, 1.0 - eps,
             build("gaussian", 0.0, math.exp(lv), n_nodes), jacobian=True)
-        (_, g_out, h_out), j_out = dyn._component_fgh(
+        _, g_out, h_out, z_den, _, z_den2, _, _ = dyn._component_sums(
             0.0, alpha, sigma, eps, build("gaussian", offset, 1.0, n_nodes),
             jacobian=True)
+        shape = 2.0 * alpha + 1.0
         return ((g_gen + g_out + dyn.delta_psi(alpha), h_gen + h_out),
-                [[-j_gen[1][2], -offset * j_out[1][0]],
-                 [-j_gen[2][2], -offset * j_out[2][0]]])
+                [[zsq_den, 2.0 * offset * z_den],
+                 [sigma * shape * zsq_den2,
+                  2.0 * sigma * shape * offset * z_den2]])
 
     @pytest.mark.parametrize("alpha, sigma, eps", [
         (2.0, 2.0, dyn.DEFAULT_VERIFY_EPS), (6.0, 1.0, (0.01, 0.005, 0.0025))])

@@ -16,7 +16,9 @@ CHANGES.md.
 import argparse
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -49,18 +51,52 @@ INVOCATIONS = {
 }
 
 
+# every dynamics command, run in-process and in child processes that force
+# other OpenBLAS kernels: no dynamics artifact may depend on the kernel
+PORTABLE = {
+    "sweep-gaussian": INVOCATIONS["dynamics-sweep"],
+    "sweep-uniform": INVOCATIONS["dynamics-sweep"]
+    + ["--uniform-outliers=-4,16"],
+    "equilibrium": INVOCATIONS["dynamics-equilibrium"],
+    "field": INVOCATIONS["dynamics-field"],
+    "simulate": INVOCATIONS["dynamics-simulate"],
+    "escape": ["dynamics", "simulate", "--epsilon", "0",
+               "--state", "1.2,1,1,1.5e7", "--t-end", "5e6",
+               "--escape-bound", "1e3"],
+}
+# OpenBLAS's AVX2 and SSE3 kernels, as a host without AVX-512 would pick
+OTHER_KERNELS = ("Haswell", "Prescott")
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden
+with contextlib.redirect_stdout(io.StringIO()):
+    digests = test_golden.portable_digests(sys.argv[2])
+print(json.dumps(digests))
+"""
+
+
 def versions():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": f"{blas['name']} {blas.get('version', '?')}"}
 
 
-def run_digests(name, root):
-    out = pathlib.Path(root) / name
-    code = cli.main(INVOCATIONS[name] + ["--out", str(out)])
-    assert code == 0, f"{name} exited {code}"
+def artifact_digests(argv, out):
+    """Digest of every file that `argv` writes into the directory out."""
+    code = cli.main(argv + ["--out", str(out)])
+    assert code == 0, f"{argv} exited {code}"
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
+
+
+def run_digests(name, root):
+    return artifact_digests(INVOCATIONS[name], pathlib.Path(root) / name)
+
+
+def portable_digests(root):
+    return {name: artifact_digests(argv, pathlib.Path(root) / name)
+            for name, argv in PORTABLE.items()}
 
 
 def moved_files(got, want):
@@ -110,6 +146,32 @@ def test_regenerator_reports_moved_digests(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "run_digests", lambda name, root: fresh[name])
     assert main(tmp_path) == ["a/gone.txt", "a/new.txt", "b/y.csv"]
     assert json.loads(golden.read_text())["digests"] == fresh
+
+
+def test_dynamics_artifacts_do_not_depend_on_the_blas_kernel(tmp_path,
+                                                             capsys):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    children = {kernel: subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(pathlib.Path(__file__).parent),
+         str(tmp_path / kernel)],
+        env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, text=True) for kernel in OTHER_KERNELS}
+    try:
+        want = portable_digests(tmp_path / "in-process")
+        outs = {kernel: child.communicate(timeout=60)[0]
+                for kernel, child in children.items()}
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+    capsys.readouterr()
+    for kernel, child in children.items():
+        assert child.returncode == 0, kernel
+        got = json.loads(outs[kernel])
+        assert got == want, (kernel, {name: moved_files(got[name], want[name])
+                                      for name in want
+                                      if got[name] != want[name]})
 
 
 def leaf_commands(parser, prefix=()):
