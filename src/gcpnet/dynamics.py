@@ -213,6 +213,18 @@ def _component_sums(m, alpha, sigma, weight, nodes, jacobian=False):
     return [weight * v for v in np.add.reduce(rows, 1).tolist()]
 
 
+def _flow_jacobian(alpha, sigma, g_alpha, sums):
+    """d(F, G, H) / d(m, ln alpha, ln sigma) as three rows of Python floats
+    from the five Jacobian `sums` of `_component_sums` and G's ln alpha
+    entry `g_alpha`, the digamma gap's (dz/dm = -1)."""
+    z_den, zsq_den, z_den2, zsq_den2, f_m = sums
+    two_sigma, shape = 2.0 * sigma, 2.0 * alpha + 1.0
+    return [[f_m, 0.0, -two_sigma * z_den2],
+            [-2.0 * z_den, g_alpha, -zsq_den],
+            [-two_sigma * shape * z_den2, alpha * zsq_den,
+             -sigma * shape * zsq_den2]]
+
+
 def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     """Population integrals driving the flow.
 
@@ -225,22 +237,20 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
     n_nodes = _dyn_nodes(nodes)
-    sums = [0.0] * (8 if jacobian else 3)
+    f = g = h = 0.0
+    sums = [0.0] * 5
     for weight, kind, a, b in spec.components():
-        part = _component_sums(m, alpha, sigma, weight,
-                               _component_nodes(kind, a, b, n_nodes), jacobian)
-        sums = [s + p for s, p in zip(sums, part)]
-    f, g, h = sums[:3]
+        df, dg, dh, *dsums = _component_sums(
+            m, alpha, sigma, weight, _component_nodes(kind, a, b, n_nodes),
+            jacobian)
+        f, g, h = f + df, g + dg, h + dh
+        if jacobian:
+            sums = [s + p for s, p in zip(sums, dsums)]
     g += delta_psi(alpha)
     finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
     if jacobian:
-        z_den, zsq_den, z_den2, zsq_den2, f_m = sums[3:]
-        # dz/dm = -1; d/d ln alpha of G is the digamma gap's
-        two_sigma, shape = 2.0 * sigma, 2.0 * alpha + 1.0
-        jac = [[f_m, 0.0, -two_sigma * z_den2],
-               [-2.0 * z_den, alpha * delta_trigamma(alpha), -zsq_den],
-               [-two_sigma * shape * z_den2, alpha * zsq_den,
-                -sigma * shape * zsq_den2]]
+        jac = _flow_jacobian(alpha, sigma, alpha * delta_trigamma(alpha),
+                             sums)
         finite = finite and all(map(math.isfinite, jac[0] + jac[1] + jac[2]))
     if not finite:
         raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "
@@ -436,10 +446,7 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
         t += dt
         ts.append(t)
         rows.append(u)
-        if err > 0:
-            dt *= min(5.0, 0.9 * err**-0.2)
-        else:
-            dt *= 5.0
+        dt *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
         if 0.0 < cap < dt:
             dt = cap
         m, nu, alpha, beta = u
@@ -531,9 +538,9 @@ def _damped_newton(evaluate, x0, tol, caps=None):
     first because it costs no solve, or the natural level falls,
     |J^-1 r(x + lam dx)| < (1 - lam/4) |dx| (Deuflhard's affine-invariant
     test, which follows curved valleys where the plain residual norm is
-    dominated by one component).  `caps(x)`
-    bounds each coordinate's step from x.  Raises NonConvergenceError
-    when the line search stalls or after NEWTON_MAX_ITER iterations.
+    dominated by one component).  `caps(x)` bounds each coordinate's step
+    from x.  Raises NonConvergenceError when the line search stalls or
+    after NEWTON_MAX_ITER iterations.
     """
     x = tuple(map(float, x0))
     current = evaluate(x)
@@ -672,10 +679,9 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
     from the secant through the two previous roots in ln eps, linear in m
     and geometric in alpha and sigma, which follows the leading-order
     scalings (alpha ~ 1/eps, m - m_g ~ eps); a failed start falls back to
-    the asymptotic guess.  Gaps wider than
-    SWEEP_STEP_RATIO are bridged by solving unreported geometric midpoints
-    so every continuation step stays well conditioned.
-    Returns (eps, Equilibrium) pairs in the caller's order.
+    the asymptotic guess.  Gaps wider than SWEEP_STEP_RATIO are bridged by
+    solving unreported geometric midpoints so every continuation step stays
+    well conditioned.  Returns (eps, Equilibrium) pairs in the caller's order.
     """
     requested = [float(e) for e in eps_values]
     chain = sorted(set(requested), reverse=True)
@@ -768,16 +774,16 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
         return None
     _, weights, unit, unit_sq = _component_nodes("gaussian", 0.0, 1.0, n_nodes)
     spread = math.sqrt(math.exp(lv)) * unit
-    _, g_gen, h_gen, _, zsq_den, _, zsq_den2, _ = _component_sums(
+    _, g_gen, h_gen, *sums_gen = _component_sums(
         0.0, alpha, sigma, 1.0 - eps, (0.0, weights, spread, spread * spread),
         jacobian=True)
-    _, g_out, h_out, z_den, _, z_den2, _, _ = _component_sums(
-        0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq),
-        jacobian=True)
+    _, g_out, h_out, *sums_out = _component_sums(
+        0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq), True)
     r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
-    shape = 2.0 * alpha + 1.0
-    jac = [[zsq_den, 2.0 * offset * z_den],
-           [sigma * shape * zsq_den2, 2.0 * sigma * shape * offset * z_den2]]
+    j_gen, j_out = (_flow_jacobian(alpha, sigma, 0.0, sums)
+                    for sums in (sums_gen, sums_out))
+    jac = [[-j_gen[1][2], -offset * j_out[1][0]],
+           [-j_gen[2][2], -offset * j_out[2][0]]]
     return r, jac
 
 

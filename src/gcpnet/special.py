@@ -231,9 +231,8 @@ def legendre_rule(n: int) -> QuadratureRule:
 
 
 def gauss_weighted_integral(f, rule: QuadratureRule) -> float:
-    """Sum w_i f(y_i); for a hermite rule this approximates E[f(y)], y~N(0,1).
-    numpy's pairwise reduction fixes the order of the sum, so no BLAS kernel
-    can change its bits."""
+    """Sum w_i f(y_i) in numpy's fixed pairwise order, which no BLAS kernel
+    changes; for a hermite rule this approximates E[f(y)], y~N(0,1)."""
     vals = np.asarray(f(rule.nodes), dtype=float)
     acc = float(np.add.reduce(rule.weights * vals))
     if not math.isfinite(acc):
@@ -287,16 +286,11 @@ def log_gap_slope(s: float) -> float:
     return _gap_state(math.sqrt(0.5 * s))[4]
 
 
-def a_equation_residual(alpha: float, a: float, rule: QuadratureRule | None = None) -> float:
+def a_equation_residual(alpha: float, a: float) -> float:
     """(2*alpha+1) * E[y^2/(2(alpha-a)+y^2)] - 1, increasing in the trial
-    value a, formed as (alpha + 1/2) * 2E - 1 to stay finite at any alpha;
-    E in closed form, or by quadrature with a hermite rule (cross-check)."""
-    if rule is None:
-        mean = _gap_state(math.sqrt(alpha - a))[1]
-    else:
-        s = 2.0 * (alpha - a)
-        mean = gauss_weighted_integral(lambda y: y * y / (s + y * y), rule)
-    return (alpha + 0.5) * (2.0 * mean) - 1.0
+    value a, formed as (alpha + 1/2) * 2E - 1 to stay finite at any alpha,
+    with E = 1 - R in closed form."""
+    return (alpha + 0.5) * (2.0 * _gap_state(math.sqrt(alpha - a))[1]) - 1.0
 
 
 def _solve_x(alpha: float) -> float:

@@ -990,17 +990,17 @@ class TestMeanVerification:
         if abs(lv) > 30.0 or not offset <= dyn.MIXTURE_LIMIT:
             return None
         build = dyn._component_nodes.__wrapped__
-        _, g_gen, h_gen, _, zsq_den, _, zsq_den2, _ = dyn._component_sums(
+        _, g_gen, h_gen, *sums_gen = dyn._component_sums(
             0.0, alpha, sigma, 1.0 - eps,
             build("gaussian", 0.0, math.exp(lv), n_nodes), jacobian=True)
-        _, g_out, h_out, z_den, _, z_den2, _, _ = dyn._component_sums(
+        _, g_out, h_out, *sums_out = dyn._component_sums(
             0.0, alpha, sigma, eps, build("gaussian", offset, 1.0, n_nodes),
             jacobian=True)
-        shape = 2.0 * alpha + 1.0
+        j_gen = dyn._flow_jacobian(alpha, sigma, 0.0, sums_gen)
+        j_out = dyn._flow_jacobian(alpha, sigma, 0.0, sums_out)
         return ((g_gen + g_out + dyn.delta_psi(alpha), h_gen + h_out),
-                [[zsq_den, 2.0 * offset * z_den],
-                 [sigma * shape * zsq_den2,
-                  2.0 * sigma * shape * offset * z_den2]])
+                [[-j_gen[1][2], -offset * j_out[1][0]],
+                 [-j_gen[2][2], -offset * j_out[2][0]]])
 
     @pytest.mark.parametrize("alpha, sigma, eps", [
         (2.0, 2.0, dyn.DEFAULT_VERIFY_EPS), (6.0, 1.0, (0.01, 0.005, 0.0025))])

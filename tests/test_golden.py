@@ -64,7 +64,9 @@ PORTABLE = {
                "--state", "1.2,1,1,1.5e7", "--t-end", "5e6",
                "--escape-bound", "1e3"],
 }
-# OpenBLAS's AVX2 and SSE3 kernels, as a host without AVX-512 would pick
+# OpenBLAS's AVX2 and SSE3 kernels.  Only the BLAS kernel varies: numpy's
+# own SIMD loops stay this host's, and those do move dynamics bytes (numpy's
+# AVX-512 log1p differs from its AVX2 one in the last bit; ROADMAP item 1)
 OTHER_KERNELS = ("Haswell", "Prescott")
 CHILD = """
 import contextlib, io, json, sys

@@ -6,16 +6,14 @@ tests/golden/dynamics.json holds the values and the relative tolerance they
 are compared at.  Step and iteration counts must match exactly.  A change
 that moves dynamics numbers on purpose regenerates the file with
 
-    PYTHONPATH=src python tests/test_golden_dynamics.py [SECTION ...]
+    PYTHONPATH=src python tests/test_golden_dynamics.py
 
-which rewrites the named sections (sweeps, cold, escape, settle), or all
-of them when none is named, and says so in CHANGES.md; a change that only
-makes the code faster must pass it unchanged.
+and says so in CHANGES.md; a change that only makes the code faster must
+pass it unchanged.
 """
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -111,36 +109,12 @@ def test_dynamics_values_match_golden(section, computed):
     assert not bad, "\n".join(bad[:10])
 
 
-def test_regenerator_rewrites_only_named_sections(tmp_path, monkeypatch):
-    golden = tmp_path / "dynamics.json"
-    golden.write_text(json.dumps({"values": {"a": 1.0, "b": 2.0}}))
-    module = sys.modules[__name__]
-    monkeypatch.setattr(module, "GOLDEN", golden)
-    monkeypatch.setattr(module, "compute", lambda: {"a": 3.0, "b": 4.0})
-    main(["b"])
-    assert json.loads(golden.read_text())["values"] == {"a": 1.0, "b": 4.0}
-    with pytest.raises(SystemExit, match="unknown sections"):
-        main(["c"])
-    main()
-    assert json.loads(golden.read_text())["values"] == {"a": 3.0, "b": 4.0}
-
-
-def main(sections=()):
-    """Rewrite the golden file's named sections, or all of them; the other
-    sections keep their pinned values."""
-    values = compute()
-    unknown = sorted(set(sections) - set(values))
-    if unknown:
-        raise SystemExit(f"unknown sections {unknown}; choose from "
-                         f"{sorted(values)}")
-    if sections:
-        values = {**load_golden()["values"],
-                  **{name: values[name] for name in sections}}
-    doc = {"rule": RULE, "rtol": RTOL, "values": values}
+def main():
+    doc = {"rule": RULE, "rtol": RTOL, "values": compute()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

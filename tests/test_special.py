@@ -299,9 +299,12 @@ class TestSolveA:
     def test_residual_closed_form_agrees_with_quadrature(self):
         rule = sp.hermite_rule(1024)
         for alpha, a in ((1.0, 0.3), (4.0, 0.9)):
+            s = 2.0 * (alpha - a)
+            mean = sp.gauss_weighted_integral(lambda y: y * y / (s + y * y),
+                                              rule)
             np.testing.assert_allclose(
                 sp.a_equation_residual(alpha, a),
-                sp.a_equation_residual(alpha, a, rule=rule), rtol=1e-7)
+                (alpha + 0.5) * (2.0 * mean) - 1.0, rtol=1e-7)
 
     def test_bounds_and_monotonicity(self):
         grid = np.geomspace(1e-3, 1e3, 60)
