@@ -240,12 +240,11 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     f = g = h = 0.0
     sums = [0.0] * 5
     for weight, kind, a, b in spec.components():
-        df, dg, dh, *dsums = _component_sums(
-            m, alpha, sigma, weight, _component_nodes(kind, a, b, n_nodes),
-            jacobian)
-        f, g, h = f + df, g + dg, h + dh
+        part = _component_sums(m, alpha, sigma, weight,
+                               _component_nodes(kind, a, b, n_nodes), jacobian)
+        f, g, h = f + part[0], g + part[1], h + part[2]
         if jacobian:
-            sums = [s + p for s, p in zip(sums, dsums)]
+            sums = [s + p for s, p in zip(sums, part[3:])]
     g += delta_psi(alpha)
     finite = math.isfinite(f) and math.isfinite(g) and math.isfinite(h)
     if jacobian:
@@ -446,7 +445,10 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
         t += dt
         ts.append(t)
         rows.append(u)
-        dt *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
+        if err > 0:
+            dt *= min(5.0, 0.9 * err**-0.2)
+        else:
+            dt *= 5.0
         if 0.0 < cap < dt:
             dt = cap
         m, nu, alpha, beta = u
@@ -679,9 +681,10 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
     from the secant through the two previous roots in ln eps, linear in m
     and geometric in alpha and sigma, which follows the leading-order
     scalings (alpha ~ 1/eps, m - m_g ~ eps); a failed start falls back to
-    the asymptotic guess.  Gaps wider than SWEEP_STEP_RATIO are bridged by
-    solving unreported geometric midpoints so every continuation step stays
-    well conditioned.  Returns (eps, Equilibrium) pairs in the caller's order.
+    the asymptotic guess.  Gaps wider than
+    SWEEP_STEP_RATIO are bridged by solving unreported geometric midpoints
+    so every continuation step stays well conditioned.
+    Returns (eps, Equilibrium) pairs in the caller's order.
     """
     requested = [float(e) for e in eps_values]
     chain = sorted(set(requested), reverse=True)
