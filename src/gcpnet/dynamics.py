@@ -781,10 +781,11 @@ def _inverse_residual(x, eps, alpha, sigma, n_nodes):
         0.0, alpha, sigma, 1.0 - eps, (0.0, weights, spread, spread * spread),
         jacobian=True)
     _, g_out, h_out, *sums_out = _component_sums(
-        0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq), True)
+        0.0, alpha, sigma, eps, (offset, weights, unit, unit_sq),
+        jacobian=True)
     r = (g_gen + g_out + delta_psi(alpha), h_gen + h_out)
-    j_gen, j_out = (_flow_jacobian(alpha, sigma, 0.0, sums)
-                    for sums in (sums_gen, sums_out))
+    j_gen = _flow_jacobian(alpha, sigma, 0.0, sums_gen)
+    j_out = _flow_jacobian(alpha, sigma, 0.0, sums_out)
     jac = [[-j_gen[1][2], -offset * j_out[1][0]],
            [-j_gen[2][2], -offset * j_out[2][0]]]
     return r, jac
