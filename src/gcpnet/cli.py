@@ -227,8 +227,8 @@ def _contamination_spec(args, epsilon):
                if args.uniform_outliers is not None
                else ("gaussian", *args.gaussian_outliers))
     try:
-        return dyn.ContaminationSpec(epsilon=epsilon, m_g=args.m_g,
-                                     v_g=args.v_g, outlier=outlier)
+        return dyn.ContaminationSpec(epsilon, args.m_g, args.v_g, outlier,
+                                     args.nodes or dyn.DYNAMICS_NODES_DEFAULT)
     except ConditionError as exc:
         # malformed mixture parameters are a flag problem, not a refusal
         raise UsageError(str(exc))
@@ -424,7 +424,7 @@ def cmd_dynamics_simulate(args):
         state = dyn.GcpParams(*args.state)
     else:
         state = dyn.default_state(spec)
-    traj = dyn.integrate(state, spec, t_end=args.t_end, nodes=args.nodes,
+    traj = dyn.integrate(state, spec, t_end=args.t_end,
                          settle_tol=args.settle_tol,
                          escape_bound=args.escape_bound)
     out = _ensure_out(args)
@@ -433,6 +433,8 @@ def cmd_dynamics_simulate(args):
                ("t", "m", "nu", "alpha", "beta", "sigma"), rows)
     _manifest(out, "dynamics simulate",
               {"spec": dataclasses.asdict(spec), "t_end": args.t_end,
+               "settle_tol": args.settle_tol,
+               "escape_bound": args.escape_bound,
                "state": [state.m, state.nu, state.alpha, state.beta],
                "settled": traj.settled, "escaped": traj.escaped,
                "truncated": traj.truncated, "evaluations": traj.evaluations,
@@ -447,8 +449,7 @@ def cmd_dynamics_equilibrium(args):
     from . import dynamics as dyn
 
     spec = _contamination_spec(args, args.epsilon)
-    payload = dataclasses.asdict(dyn.equilibrium(spec, guess=args.guess,
-                                                 nodes=args.nodes))
+    payload = dataclasses.asdict(dyn.equilibrium(spec, guess=args.guess))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = _ensure_out(args)
@@ -470,8 +471,9 @@ def cmd_dynamics_sweep(args):
                              "equilibrium branch")
     m_o = dyn.outlier_moments(spec0)["mean"]
     alpha_limit = 3.0 * spec0.v_g**2 / ind.c_go
-    pairs = dyn.equilibrium_sweep(args.eps, m_g=args.m_g, v_g=args.v_g,
-                                  outlier=spec0.outlier, nodes=args.nodes)
+    mixture = dataclasses.asdict(spec0)
+    del mixture["epsilon"]
+    pairs = dyn.equilibrium_sweep(args.eps, **mixture)
     rows = []
     for eps, eq in pairs:
         mean_scale = eps * (m_o - spec0.m_g)
@@ -499,7 +501,7 @@ def cmd_dynamics_field(args):
     spec = _contamination_spec(args, args.epsilon)
     alphas = _parse_range(args.alpha_range, "--alpha-range")
     sigmas = _parse_range(args.sigma_range, "--sigma-range")
-    rows = dyn.field_grid(alphas, sigmas, spec, m=args.m, nodes=args.nodes)
+    rows = dyn.field_grid(alphas, sigmas, spec, m=args.m)
     out = _ensure_out(args)
     _write_csv(out / "field.csv", ("alpha", "sigma", "dalpha", "dsigma"), rows)
     _manifest(out, "dynamics field",

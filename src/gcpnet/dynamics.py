@@ -43,6 +43,7 @@ TAIL_MASS = 2.0 ** -64
 SOLVE_TOL = 1e-11
 NEWTON_MAX_ITER = 30
 SWEEP_STEP_RATIO = 2.0
+MAX_STEPS = 100000
 CERT_TOL = 1e-9
 RTOL = 1e-8
 ATOL = 1e-10
@@ -51,13 +52,10 @@ ATOL = 1e-10
 MIXTURE_LIMIT = 1e50
 
 
-def _dyn_nodes(nodes):
-    return nodes if nodes is not None else DYNAMICS_NODES_DEFAULT
-
-
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Mixture (1-eps) * N(m_g, v_g) + eps * outlier.
+    """Mixture (1-eps) * N(m_g, v_g) + eps * outlier, integrated at
+    quadrature order `nodes` (certificates use twice that).
 
     `outlier` is ("gaussian", m_o, v_o) or ("uniform", lo, hi).
     """
@@ -66,10 +64,13 @@ class ContaminationSpec:
     m_g: float = 0.0
     v_g: float = 1.0
     outlier: tuple = ("gaussian", 5.0, 1.0)
+    nodes: int = DYNAMICS_NODES_DEFAULT
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ConditionError("epsilon must lie in [0, 1)")
+        if type(self.nodes) is not int or self.nodes < 2:
+            raise ConditionError(f"nodes must be an int >= 2: {self.nodes!r}")
         # a smaller v_g underflows the asymptotic guess's v_g**3 to zero
         if not self.v_g >= 1.0 / MIXTURE_LIMIT:
             raise ConditionError(f"v_g must be at least "
@@ -225,8 +226,8 @@ def _flow_jacobian(alpha, sigma, g_alpha, sums):
              -sigma * shape * zsq_den2]]
 
 
-def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
-    """Population integrals driving the flow.
+def fgh(m, alpha, sigma, spec: ContaminationSpec, jacobian=False):
+    """Population integrals driving the flow, at the spec's node count.
 
     F is the mean pull, H the precision imbalance, and G the evidence
     imbalance including the digamma gap, so an equilibrium is exactly
@@ -236,12 +237,11 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, nodes=None, jacobian=False):
     """
     if not (alpha > 0 and sigma > 0):
         raise ValueError("alpha and sigma must be positive")
-    n_nodes = _dyn_nodes(nodes)
     f = g = h = 0.0
     sums = [0.0] * 5
     for weight, kind, a, b in spec.components():
         part = _component_sums(m, alpha, sigma, weight,
-                               _component_nodes(kind, a, b, n_nodes), jacobian)
+                               _component_nodes(kind, a, b, spec.nodes), jacobian)
         f, g, h = f + part[0], g + part[1], h + part[2]
         if jacobian:
             sums = [s + p for s, p in zip(sums, part[3:])]
@@ -268,15 +268,15 @@ def default_state(spec: ContaminationSpec) -> GcpParams:
     return GcpParams(m=mean_c, nu=1.0, alpha=1.5, beta=0.5 * var_c)
 
 
-def _rates(m, nu, alpha, beta, spec, nodes):
+def _rates(m, nu, alpha, beta, spec):
     """(dm, dnu, dalpha, dbeta) at one point, and the H they came from."""
-    f, g, h = fgh(m, alpha, beta * (nu + 1.0) / nu, spec, nodes=nodes)
+    f, g, h = fgh(m, alpha, beta * (nu + 1.0) / nu, spec)
     return ((2.0 * alpha + 1.0) * f, -h / (nu * (nu + 1.0)), -g, h / beta), h
 
 
-def flow(state: GcpParams, spec: ContaminationSpec, nodes=None):
+def flow(state: GcpParams, spec: ContaminationSpec):
     """Time derivatives (dm, dnu, dalpha, dbeta) plus the induced dsigma."""
-    rates, h = _rates(state.m, state.nu, state.alpha, state.beta, spec, nodes)
+    rates, h = _rates(state.m, state.nu, state.alpha, state.beta, spec)
     nu, sigma = state.nu, state.sigma
     dsigma = ((nu + 1.0) ** 2 / (nu**2 * sigma)
               + sigma / ((nu + 1.0) ** 2 * nu**2)) * h
@@ -384,8 +384,7 @@ def _dp5_step(u, k1, h, stage):
 # step, so numpy's overflow warnings would only come before those checks
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
-              nodes=None, max_steps=100000, settle_tol=None,
-              escape_bound=None) -> Trajectory:
+              settle_tol=None, escape_bound=None) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with positivity rejection.
 
     The seventh stage of an attempt is the rates at its new state and so
@@ -397,8 +396,8 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
     all normalized derivatives fall below it (that derivative is the
     seventh stage, so the check costs nothing extra), or when
     `escape_bound` is given and both alpha and sigma exceed it; running
-    out of steps or shrinking the step below floor marks the trajectory
-    truncated.
+    out of MAX_STEPS attempts or shrinking the step below floor marks the
+    trajectory truncated.
     """
     evaluations = 0
 
@@ -408,7 +407,7 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
         if nu <= 0 or alpha <= 0 or beta <= 0:
             return None
         evaluations += 1
-        return _rates(m, nu, alpha, beta, spec, nodes)[0]
+        return _rates(m, nu, alpha, beta, spec)[0]
 
     def stage(u):
         return _finite_rates(rates(u))
@@ -421,7 +420,7 @@ def integrate(state0: GcpParams, spec: ContaminationSpec, t_end,
     settled = truncated = escaped = False
     steps = rejected = 0
     while t < t_end:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             truncated = True
             break
         steps += 1
@@ -582,8 +581,7 @@ def _damped_newton(evaluate, x0, tol, caps=None):
                               f"{max(map(abs, r)):.3e}")
 
 
-def newton_equilibrium(spec: ContaminationSpec, guess,
-                       nodes=None) -> Equilibrium:
+def newton_equilibrium(spec: ContaminationSpec, guess) -> Equilibrium:
     """Newton solve from an explicit (m, alpha, sigma) guess, then certify
     the root by re-evaluating the integrals at twice the node count.
 
@@ -595,14 +593,13 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     The certificate also bounds the root's location by the size of the
     Newton step |J^-1 r| at the doubled rule.
     """
-    n_nodes = _dyn_nodes(nodes)
     shift = spec.m_g
     kind, a, b = spec.outlier
     spec = replace(spec, m_g=0.0, outlier=(
         kind, a - shift, b - shift if kind == "uniform" else b))
 
     def evaluate(x):
-        return fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec, nodes=n_nodes,
+        return fgh(x[0], math.exp(x[1]), math.exp(x[2]), spec,
                    jacobian=True) if _admissible(x) else None
 
     # trust caps keep iterates out of the flat residual valley that runs
@@ -613,12 +610,13 @@ def newton_equilibrium(spec: ContaminationSpec, guess,
     if not _admissible(x):
         raise NonConvergenceError(f"root outside the admissible region: {x}")
     m, alpha, sigma = x[0], math.exp(x[1]), math.exp(x[2])
-    res2, jac2 = fgh(m, alpha, sigma, spec, nodes=2 * n_nodes, jacobian=True)
+    res2, jac2 = fgh(m, alpha, sigma, replace(spec, nodes=2 * spec.nodes),
+                     jacobian=True)
     residuals = tuple(abs(v) for v in res2)
     converged = max(residuals) < CERT_TOL
     eq = Equilibrium(m=m + shift, alpha=alpha, sigma=sigma,
-                     residuals=residuals, converged=converged, nodes=n_nodes,
-                     iterations=iters,
+                     residuals=residuals, converged=converged,
+                     nodes=spec.nodes, iterations=iters,
                      step_bound=max(map(abs, _solve(jac2, res2, x))))
     if not converged:
         raise NonConvergenceError(
@@ -659,22 +657,22 @@ def asymptotic_guess(spec: ContaminationSpec):
         raise NonConvergenceError(
             f"asymptotic start alpha = {alpha0:.6g} at epsilon = {eps:g} lies "
             f"beyond the admissible alpha <= {ALPHA_CAP:g}")
-    sigma0 = spec.v_g * max(alpha0 - solve_A(alpha0), 1e-3)
+    sigma0 = spec.v_g * (alpha0 - solve_A(alpha0))
     return (spec.m_g + offset, alpha0, sigma0)
 
 
-def equilibrium(spec: ContaminationSpec, guess=None, nodes=None) -> Equilibrium:
+def equilibrium(spec: ContaminationSpec, guess=None) -> Equilibrium:
     """Certified equilibrium; Newton starts from the small-eps asymptotics
     when no guess is supplied."""
     check_condition(spec)
     if guess is None:
         guess = asymptotic_guess(spec)
-    return newton_equilibrium(spec, guess, nodes=nodes)
+    return newton_equilibrium(spec, guess)
 
 
-def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.0),
-                      nodes=None):
-    """Equilibria along an epsilon grid with continuation warm starts.
+def equilibrium_sweep(eps_values, **mixture):
+    """Equilibria along an epsilon grid with continuation warm starts;
+    `mixture` holds the ContaminationSpec fields other than epsilon.
 
     Epsilons are solved in descending order.  The first starts from the
     asymptotic guess, the second from the first root, and every later one
@@ -699,9 +697,9 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
         padded.append(nxt)
     solved = {}
     for i, eps in enumerate(padded):
-        spec = ContaminationSpec(epsilon=eps, m_g=m_g, v_g=v_g, outlier=outlier)
+        spec = ContaminationSpec(epsilon=eps, **mixture)
         if i == 0:
-            solved[eps] = equilibrium(spec, nodes=nodes)
+            solved[eps] = equilibrium(spec)
             continue
         prev = solved[padded[i - 1]]
         guess = (prev.m, prev.alpha, prev.sigma)
@@ -713,9 +711,9 @@ def equilibrium_sweep(eps_values, m_g=0.0, v_g=1.0, outlier=("gaussian", 5.0, 1.
                      prev.alpha * (prev.alpha / older.alpha) ** t,
                      prev.sigma * (prev.sigma / older.sigma) ** t)
         try:
-            eq = newton_equilibrium(spec, guess, nodes=nodes)
+            eq = newton_equilibrium(spec, guess)
         except NonConvergenceError:
-            eq = newton_equilibrium(spec, asymptotic_guess(spec), nodes=nodes)
+            eq = newton_equilibrium(spec, asymptotic_guess(spec))
         solved[eps] = eq
     return [(e, solved[e]) for e in requested]
 
@@ -886,8 +884,7 @@ def verify_mean_exponential(alpha, sigma,
 
 # as in integrate: fgh's own check reports a non-finite integral
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
-               m=None, nodes=None):
+def field_grid(alpha_values, sigma_values, spec: ContaminationSpec, m=None):
     """(alpha, sigma, dalpha, dsigma) rows over a grid at fixed m, nu = 1."""
     if m is None:
         m = spec.m_g
@@ -896,6 +893,6 @@ def field_grid(alpha_values, sigma_values, spec: ContaminationSpec,
         for sigma in map(float, sigma_values):
             # beta maps back to this sigma exactly at nu = 1
             state = GcpParams(m=m, nu=1.0, alpha=alpha, beta=0.5 * sigma)
-            _, _, dalpha, _, dsigma = flow(state, spec, nodes=nodes)
+            _, _, dalpha, _, dsigma = flow(state, spec)
             rows.append((alpha, sigma, dalpha, dsigma))
     return rows

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -479,6 +478,30 @@ class TestDynamics:
         attempts = len(rows) - 1 + manifest["rejected"]
         assert manifest["evaluations"] == 1 + 6 * attempts
 
+    def test_simulate_manifest_records_stop_settings(self, tmp_path):
+        argv = ["dynamics", "simulate", "--epsilon", "0.05", "--t-end", "5"]
+        stops = ["--settle-tol", "1e-3", "--escape-bound", "1e9"]
+        manifests = []
+        for extra, out in (([], tmp_path / "unset"), (stops, tmp_path / "set")):
+            assert cli.main(argv + extra + ["--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        unset, given = manifests
+        assert unset["settle_tol"] is None and unset["escape_bound"] is None
+        assert given["settle_tol"] == 1e-3 and given["escape_bound"] == 1e9
+
+    @pytest.mark.parametrize("command", [["sweep", "--eps", "0.04,0.02"],
+                                         ["equilibrium", "--epsilon", "0.04"]])
+    def test_manifest_records_the_node_count(self, tmp_path, command):
+        blobs = []
+        for extra, out in (([], tmp_path / "default"),
+                           (["--nodes", "64"], tmp_path / "n64")):
+            assert cli.main(["dynamics", *command, *extra,
+                             "--out", str(out)]) == 0
+            blobs.append((out / "manifest.json").read_bytes())
+        default, n64 = (json.loads(blob)["spec"]["nodes"] for blob in blobs)
+        assert blobs[0] != blobs[1]
+        assert (default, n64) == (dyn.DYNAMICS_NODES_DEFAULT, 64)
+
     def test_simulate_warns_but_proceeds_when_indicator_negative(
             self, tmp_path, capsys):
         assert cli.main(["dynamics", "simulate", "--epsilon", "0.05",
@@ -876,7 +899,7 @@ def _check(argv, config=None, rerun=False):
     horizon of 1e308 would run integrate's 100,000-step cap, about 50 s;
     like the epochs, the cap is kept tiny here."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-            dyn, "integrate", functools.partial(dyn.integrate, max_steps=50)):
+            dyn, "MAX_STEPS", 50):
         tmp = pathlib.Path(tmp)
         if config is not None:
             (tmp / "cfg.json").write_text(json.dumps(config))

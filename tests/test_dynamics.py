@@ -5,6 +5,7 @@ change of the flow at zero contamination."""
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,17 @@ class TestContaminationSpec:
                    {"outlier": ("uniform", 0.0, 2 * big)}):
             with pytest.raises(dyn.ConditionError, match="must be finite"):
                 spec_at(0.1, **kw)
+        for nodes in (1, True, 2.0):
+            with pytest.raises(dyn.ConditionError, match="nodes"):
+                dyn.ContaminationSpec(epsilon=0.04, nodes=nodes)
+
+    def test_node_count_defaults_and_reaches_every_integral(self):
+        s, default = spec_at(0.04, nodes=64), spec_at(0.04)
+        assert default.nodes == dyn.DYNAMICS_NODES_DEFAULT
+        assert dyn.fgh(0.1, 1.3, 0.8, s) != dyn.fgh(0.1, 1.3, 0.8, default)
+        assert dyn.equilibrium(s).nodes == 64
+        assert all(eq.nodes == 64 for _, eq in
+                   dyn.equilibrium_sweep([0.04, 0.02], nodes=64))
 
     def test_mixture_mean_variance(self):
         mean, var = dyn.mixture_mean_variance(spec_at(0.1))
@@ -141,8 +153,8 @@ class TestIntegrals:
 
     def test_node_count_convergence(self):
         s = spec_at(0.07)
-        coarse = dyn.fgh(0.15, 1.3, 0.8, s, nodes=256)
-        fine = dyn.fgh(0.15, 1.3, 0.8, s, nodes=1024)
+        coarse = dyn.fgh(0.15, 1.3, 0.8, replace(s, nodes=256))
+        fine = dyn.fgh(0.15, 1.3, 0.8, replace(s, nodes=1024))
         np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-11)
 
     def test_uniform_component_against_dense_grid(self):
@@ -542,10 +554,11 @@ class TestIntegrate:
         for values in (traj.nu, traj.alpha, traj.beta):
             assert np.all(values > 0)
 
-    def test_step_budget_marks_truncation(self):
+    def test_step_budget_marks_truncation(self, monkeypatch):
         s = spec_at(0.1)
         start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
-        traj = dyn.integrate(start, s, t_end=600.0, max_steps=5)
+        monkeypatch.setattr(dyn, "MAX_STEPS", 5)
+        traj = dyn.integrate(start, s, t_end=600.0)
         assert traj.truncated and not traj.settled
 
     def test_trajectory_time_grid_is_increasing(self):
@@ -647,12 +660,12 @@ class TestEquilibrium:
         want = dyn.equilibrium_sweep(eps)
         newton, guesses = dyn.newton_equilibrium, []
 
-        def first_continuation_fails(spec, guess, nodes=None):
+        def first_continuation_fails(spec, guess):
             guesses.append(guess)
             # call 1 is the cold start, call 2 the first continuation
             if len(guesses) == 2:
                 raise dyn.NonConvergenceError("continuation start failed")
-            return newton(spec, guess, nodes=nodes)
+            return newton(spec, guess)
 
         monkeypatch.setattr(dyn, "newton_equilibrium", first_continuation_fails)
         got = dyn.equilibrium_sweep(eps)
@@ -717,9 +730,9 @@ class TestEquilibrium:
     def test_later_starts_are_the_secant_in_log_epsilon(self, monkeypatch):
         newton, guesses = dyn.newton_equilibrium, []
 
-        def recording(spec, guess, nodes=None):
+        def recording(spec, guess):
             guesses.append(guess)
-            return newton(spec, guess, nodes=nodes)
+            return newton(spec, guess)
 
         monkeypatch.setattr(dyn, "newton_equilibrium", recording)
         (_, eq0), (_, eq1), _ = dyn.equilibrium_sweep([0.04, 0.02, 0.01])
