@@ -110,7 +110,7 @@ class Numbers:
 
 
 # per-dataset (learning_rate, dropout, epochs, batch_size); ensembles
-# reuse them with half dropout
+# reuse them unchanged
 PRESETS = {name: dict(zip(("learning_rate", "dropout", "epochs",
                            "batch_size"), values))
            for name, values in {"boston-gcp": (1e-4, 0.3, 700, 5),
@@ -333,18 +333,15 @@ def _fit_model(train_norm, resolved, model_kind):
                           epochs=resolved["epochs"],
                           batch_size=resolved["batch_size"],
                           seed=resolved["seed"])
-    x, y = train_norm.features, train_norm.targets
+    fit_args = (train_norm.dim, train_norm.features, train_norm.targets, cfg)
     hidden, dropout = resolved["hidden"], resolved["dropout"]
     if model_kind == "ensemble":
         ensemble, _ = net.train_ensemble(
-            train_norm.dim, x, y, cfg, n_members=resolved["members"],
-            hidden=hidden, dropout=dropout)
+            *fit_args, n_members=resolved["members"], hidden=hidden,
+            dropout=dropout)
         return ensemble
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     cls = net.GaussianNet if model_kind == "baseline" else net.GcpNetwork
-    model = cls(train_norm.dim, hidden=hidden, dropout=dropout, rng=rng)
-    net.train(model, x, y, cfg)
-    return model
+    return net.fit(cls, *fit_args, hidden, dropout)[0]
 
 
 # the outputs are checked below, so numpy's overflow warnings would only
@@ -523,18 +520,22 @@ BENCH_MODELS = {"gcp": ("gcp", "gcp_st"), "baseline": ("baseline",),
 
 
 def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
-    job = dict(resolved)
-    job["seed"] = job_seed
-    job["contamination"] = fraction
+    """One cell's (name, rmse, auc) rows.  The GCP networks are fitted once,
+    as an ensemble of one member without `with_ensemble`: its first
+    member, the lone network of the seed, is also the `gcp` model."""
+    job = dict(resolved, seed=job_seed, contamination=fraction,
+               members=resolved["members"] if with_ensemble else 1)
     train_norm, test_norm, test_raw = _prepare_splits(source, job)
+    ensemble = _fit_model(train_norm, job, "ensemble")
+    models = {"gcp": ensemble[0],
+              "baseline": _fit_model(train_norm, job, "baseline")}
+    if with_ensemble:
+        models["ensemble"] = ensemble
     results = []
-    for kind, names in BENCH_MODELS.items():
-        if kind == "ensemble" and not with_ensemble:
-            continue
-        model = _fit_model(train_norm, job, kind)
+    for kind, model in models.items():
         mean, *variances, _ = _predict_original_scale(
             model, kind, test_norm, train_norm.normalization)
-        for name, variance in zip(names, variances):
+        for name, variance in zip(BENCH_MODELS[kind], variances):
             curve = met.rejection_curve(mean, variance, test_raw.targets)
             results.append((name, curve.rmse_at_n[0], curve.auc))
     return results

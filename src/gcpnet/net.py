@@ -7,7 +7,8 @@ raw precision-carrying outputs onto (0, inf) with a shifted softplus; the
 Gaussian baseline `GaussianNet` names a mean head and a raw log-variance
 head.  Each subclass adds only its predictions and its loss.
 Initial weights come only from the generator the caller passes, and Adam
-runs with fixed constants, so a seed pins a trained model bitwise.
+runs with fixed constants, so a seed pins a trained model bitwise; under
+`fit`, the network of seed s draws its weights from PCG64(s).
 Everything is plain numpy, so a trained model exports losslessly to JSON;
 the export is not read back.
 A one-column input broadcasts x * w1: matmul's rounding at half its cost.
@@ -285,20 +286,34 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
     return result
 
 
+def fit(cls, in_dim, features, targets, config: TrainConfig, hidden=50,
+        dropout=0.0):
+    """The `cls` network of seed `config.seed`: initial weights from
+    PCG64(seed), then `train` under `config`.  Returns (network, trace)."""
+    model = cls(in_dim, hidden=hidden, dropout=dropout,
+                rng=np.random.Generator(np.random.PCG64(config.seed)))
+    return model, train(model, features, targets, config)
+
+
 def train_ensemble(in_dim, features, targets, config: TrainConfig,
                    n_members: int = 5, hidden: int = 50,
                    dropout: float = 0.0) -> tuple[list, list]:
-    """Train `n_members` GcpNetworks from independently spawned seed streams;
-    the ensemble is the list of its members."""
-    seeds = np.random.SeedSequence(config.seed).spawn(n_members)
-    members, traces = [], []
-    for seq in seeds:
-        rng = np.random.Generator(np.random.PCG64(seq))
-        net = GcpNetwork(in_dim, hidden=hidden, dropout=dropout, rng=rng)
-        member_config = replace(config, seed=int(seq.generate_state(1)[0]))
-        traces.append(train(net, features, targets, member_config))
-        members.append(net)
-    return members, traces
+    """Train `n_members` GcpNetworks; the ensemble is the list of its members.
+
+    Member 0 is the network of `config.seed`, the lone `fit` of that seed;
+    members 1..k-1 are the networks of the integer seeds drawn from the
+    k - 1 children spawned from SeedSequence(config.seed), in order.  So
+    k members are the first k of k + 1.
+    """
+    if n_members < 1:
+        raise ValueError("an ensemble needs at least one member")
+    children = np.random.SeedSequence(config.seed).spawn(n_members - 1)
+    seeds = [config.seed] + [int(seq.generate_state(1)[0])
+                             for seq in children]
+    members, traces = zip(*(fit(GcpNetwork, in_dim, features, targets,
+                                 replace(config, seed=seed), hidden, dropout)
+                             for seed in seeds))
+    return list(members), list(traces)
 
 
 def prognostic_arrays(net: GcpNetwork, x):
@@ -312,15 +327,18 @@ def prognostic_arrays(net: GcpNetwork, x):
 def ensemble_prognostic_arrays(members: list, x):
     """Mixture mean/variance across members.
 
-    Variance is the mixture second moment minus the squared mixture mean;
-    the heavy-tailed column is infinite whenever any member's is.
+    Variance is the mean member variance plus the mean squared deviation
+    of the member means from the mixture mean, which does not cancel when
+    the means are large; the heavy-tailed column is infinite whenever any
+    member's is.
     """
     means, v_ps, v_sts, alphas = map(np.stack, zip(
         *(prognostic_arrays(net, x) for net in members)))
     mix_mean = means.mean(axis=0)
+    spread = ((means - mix_mean)**2).mean(axis=0)
 
     def mixture_variance(variances):
-        return (variances + means**2).mean(axis=0) - mix_mean**2
+        return variances.mean(axis=0) + spread
 
     finite = np.isfinite(v_sts)
     v_st_mix = np.where(finite.all(axis=0),

@@ -579,6 +579,19 @@ class TestBench:
         models = {r[sheader.index("model")] for r in srows}
         assert models == {"gcp", "gcp_st", "baseline"}
 
+    def test_ensemble_leaves_the_other_rows_unchanged(self, tmp_path):
+        # the ensemble's first member is the gcp network itself
+        argv = ["bench", "synthetic", "--epochs", "4", "--n", "50",
+                "--test-n", "20", "--fractions", "0,0.1", "--repeats", "2",
+                "--seed", "5", "--dropout", "0.1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "lone")]) == 0
+        assert cli.main(argv + ["--ensemble", "--members", "3",
+                                "--out", str(tmp_path / "ens")]) == 0
+        lone = (tmp_path / "lone" / "bench.csv").read_text().splitlines()
+        ens = (tmp_path / "ens" / "bench.csv").read_text().splitlines()
+        assert len(ens) - len(lone) == 4
+        assert [row for row in ens if ",ens_gcp," not in row] == lone
+
     def test_jobs_flag_reproduces_serial_results(self, tmp_path):
         argv = ["bench", "synthetic", "--epochs", "10", "--n", "60",
                 "--test-n", "20", "--fractions", "0,0.1", "--repeats", "2",

@@ -31,6 +31,8 @@ from gcpnet import cli
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "digests.json"
 
 TRAIN = ["train", "synthetic", "--epochs", "5"]
+BENCH = ["bench", "synthetic", "--fractions", "0,0.1", "--repeats", "1",
+         "--epochs", "5"]
 
 # name -> argv without --out
 INVOCATIONS = {
@@ -38,8 +40,8 @@ INVOCATIONS = {
     "train-baseline": TRAIN + ["--baseline"],
     "train-ensemble": TRAIN + ["--ensemble", "--members", "2"],
     "train-dropout": TRAIN + ["--dropout", "0.2"],
-    "bench": ["bench", "synthetic", "--fractions", "0,0.1", "--repeats", "1",
-              "--epochs", "5"],
+    "bench": BENCH,
+    "bench-ensemble": BENCH + ["--ensemble", "--members", "2"],
     "solve-a": ["solve-a", "--grid", "0.01:100:9"],
     "dynamics-equilibrium": ["dynamics", "equilibrium", "--epsilon", "0.04"],
     "dynamics-sweep": ["dynamics", "sweep", "--eps", "0.04,0.02,0.01"],

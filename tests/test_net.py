@@ -514,6 +514,47 @@ class TestEnsemble:
         assert not np.array_equal(w[0], w[1])
         assert not np.array_equal(w[1], w[2])
 
+    def test_first_member_is_the_lone_network_of_the_seed(self):
+        x, y = tiny_dataset(40)
+        cfg = nn.TrainConfig(epochs=3, batch_size=15, seed=9)
+        ens, traces = nn.train_ensemble(1, x, y, cfg, n_members=2, hidden=6,
+                                        dropout=0.2)
+        lone = nn.GcpNetwork(1, hidden=6, dropout=0.2,
+                             rng=np.random.Generator(np.random.PCG64(9)))
+        trace = nn.train(lone, x, y, cfg).epoch_nll
+        assert ens[0].flat.tobytes() == lone.flat.tobytes()
+        assert (np.array(traces[0].epoch_nll).tobytes()
+                == np.array(trace).tobytes())
+
+    def test_members_nest(self):
+        x, y = tiny_dataset(40)
+        cfg = nn.TrainConfig(epochs=2, batch_size=20, seed=4)
+        small, small_traces = nn.train_ensemble(1, x, y, cfg, n_members=2,
+                                                hidden=5)
+        big, big_traces = nn.train_ensemble(1, x, y, cfg, n_members=3,
+                                            hidden=5)
+        for a, b, ta, tb in zip(small, big, small_traces, big_traces):
+            assert a.flat.tobytes() == b.flat.tobytes()
+            assert (np.array(ta.epoch_nll).tobytes()
+                    == np.array(tb.epoch_nll).tobytes())
+
+    @pytest.mark.parametrize("n_members", [0, -1])
+    def test_needs_a_member(self, n_members):
+        x, y = tiny_dataset(20)
+        with pytest.raises(ValueError, match="at least one member"):
+            nn.train_ensemble(1, x, y, nn.TrainConfig(epochs=1),
+                              n_members=n_members)
+
+    def test_mixture_variance_does_not_cancel(self, monkeypatch):
+        # members given as their prognostic arrays (mean, v_p, v_st,
+        # alpha); the second moments 1e16 + 1.547 would round to 2.0
+        members = [tuple(np.array([v]) for v in (mean, 1.547, 1.547, 2.0))
+                   for mean in (1e8, 1e8 + 1.0)]
+        monkeypatch.setattr(nn, "prognostic_arrays", lambda member, x: member)
+        mean, v_p, v_st, alpha = nn.ensemble_prognostic_arrays(members, None)
+        assert mean[0] == 1e8 + 0.5 and alpha[0] == 2.0
+        assert v_p[0] == v_st[0] == 1.547 + 0.25
+
     def test_mixture_mean_and_variance(self):
         x, y = tiny_dataset(40)
         cfg = nn.TrainConfig(epochs=2, batch_size=20, seed=0)

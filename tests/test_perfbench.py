@@ -53,6 +53,23 @@ def test_full_tracer_installs_counts_and_uninstalls():
             if s["name"] == "net.predict"] == [8]
 
 
+def test_bench_ensemble_fits_each_network_once(tmp_path, capsys):
+    # one cell: the two members, of which the first is also the gcp
+    # network, and the baseline
+    tracing = load_tracing()
+    recorder = tracing.Recorder(full=True).install()
+    try:
+        code = cli.main(["bench", "synthetic", "--fractions", "0.1",
+                         "--repeats", "1", "--ensemble", "--members", "2",
+                         "--epochs", "1", "--n", "40", "--test-n", "20",
+                         "--out", str(tmp_path)])
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert [s["name"] for s in recorder.spans].count("net.train") == 3
+
+
 def test_cold_equilibrium_is_one_newton_solve():
     tracing = load_tracing()
     recorder = tracing.Recorder(full=True).install()
