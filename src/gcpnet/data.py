@@ -206,15 +206,18 @@ def split(ds: Dataset, train_fraction: float = 0.95,
 def load_csv(path) -> Dataset:
     """Read a headered CSV whose last column is the target.
 
-    Cells must parse as finite decimal floats; a malformed or non-finite
-    cell or a ragged row fails with the 1-based line number and column
-    name in the message, and an unreadable file with its path.  Blank
-    trailing lines are ignored."""
+    The file is UTF-8 text, whatever the locale, as every file the
+    commands write is.  Cells must parse as finite decimal floats; a
+    malformed or non-finite cell or a ragged row fails with the 1-based
+    line number and column name in the message, and an unreadable or
+    undecodable file with its path.  Blank trailing lines are ignored."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = [(i + 1, row) for i, row in enumerate(rows)
             if any(cell.strip() for cell in row)]
     if not rows:

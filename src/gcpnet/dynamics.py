@@ -8,10 +8,12 @@ flow by the Dormand-Prince 5(4) pair on plain floats (6 flow evaluations
 per attempted step: the last stage is the next step's first, and the
 step is capped at the pair's stability boundary on stiff stretches),
 solves for equilibria (started from the small-contamination asymptotics
-and certified at doubled quadrature order), and runs the two inverse-problem verifications (first-order
-variance correction, super-polynomial mean closeness).  Equilibria,
-inverse problems and mean roots share one damped Newton with analytic
-Jacobians, which gives up after 30 iterations.
+and certified at doubled quadrature order), and runs the two
+inverse-problem verifications (first-order variance correction,
+super-polynomial mean closeness).  Equilibria, inverse problems and mean
+roots share one damped Newton with analytic Jacobians, which gives up
+after 30 iterations.  The flow moves a GcpParams point, the belief that a
+network outputs for one input.
 """
 
 from __future__ import annotations
@@ -257,10 +259,6 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, jacobian=False):
     return ((f, g, h), jac) if jacobian else (f, g, h)
 
 
-# the flow moves the belief point that a network outputs for one input
-DynState = GcpParams
-
-
 def default_state(spec: ContaminationSpec) -> GcpParams:
     """Start of a flow run: the mixture mean, nu = 1, alpha = 1.5 and the
     beta that puts sigma at the mixture variance."""
@@ -299,11 +297,6 @@ class Trajectory:
     escaped: bool = False
     evaluations: int = 0
     rejected: int = 0
-
-    def end_state(self) -> GcpParams:
-        return GcpParams(m=float(self.m[-1]), nu=float(self.nu[-1]),
-                         alpha=float(self.alpha[-1]),
-                         beta=float(self.beta[-1]))
 
 
 class _StepReject(Exception):

@@ -1,21 +1,16 @@
-"""Probabilistic core: normal-gamma parameters, the two training losses,
+"""Probabilistic core: normal-gamma parameters, the training loss,
 prognostic variances, and the epsilon-correction constants.
 
 A model output at one input point is a normal-gamma parameter vector
-(m, nu, alpha, beta).  Observing y updates it conjugately; the training loss
-is either the KL divergence from that posterior back to the current
-parameters (kl_loss) or the negative marginal log-likelihood (student_nll).
-The marginal is Student's t with 2*alpha degrees of freedom, location m and
-squared scale sigma/alpha, where sigma = beta*(nu+1)/nu.  Both losses have
-identical gradients, which is what training relies on.  The prognostic
+(m, nu, alpha, beta), GcpParams, which is also the state that the
+training-dynamics flow moves.  The training loss is the negative marginal
+log-likelihood, nll_terms_arrays: the marginal is Student's t with 2*alpha
+degrees of freedom, location m and squared scale sigma/alpha, where
+sigma = beta*(nu+1)/nu.  Its gradient equals that of the KL divergence
+from the conjugate posterior after observing y back to the current
+parameters; that KL route lives in tests/reference.py, acceptance
+criterion 2's independent reference for the identity.  The prognostic
 variances of a fit have one array implementation, prognostic_variances.
-
-Training runs on the array form nll_terms_arrays.  The scalar API
-(GcpParams, posterior_update, kl_loss, kl_grad, student_nll,
-student_nll_grad) is kept on purpose: it is acceptance criterion 2's
-independent reference for the paper's KL/NLL gradient identity, against
-which nll_terms_arrays is checked.  GcpParams is also the state that the
-training-dynamics flow moves.
 """
 
 from __future__ import annotations
@@ -55,59 +50,6 @@ class GcpParams:
         return self.beta * (self.nu + 1.0) / self.nu
 
 
-def posterior_update(params: GcpParams, y: float) -> GcpParams:
-    """Conjugate posterior after observing y."""
-    if not math.isfinite(y):
-        raise ValueError(f"observation must be finite, got {y!r}")
-    m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
-    return GcpParams(
-        m=(nu * m + y) / (nu + 1.0),
-        nu=nu + 1.0,
-        alpha=alpha + 0.5,
-        beta=beta + nu * (y - m) ** 2 / (2.0 * (nu + 1.0)),
-    )
-
-
-def kl_loss(params: GcpParams, fixed: GcpParams, y: float) -> float:
-    """KL divergence from the posterior of the snapshot `fixed` after seeing
-    y, back to the normal-gamma distribution with parameters `params`.
-
-    Nonnegative, zero exactly when params equals that posterior.  Its
-    gradient in (m, nu, alpha, beta) at params == fixed coincides with the
-    student_nll gradient, so minimizing either drives the same dynamics.
-    """
-    import scipy.special as sc
-
-    post = posterior_update(fixed, y)
-    m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
-    mp, nup, alphap, betap = post.m, post.nu, post.alpha, post.beta
-    return (
-        alphap * (m - mp) ** 2 * nu / (2.0 * betap)
-        + nu / (2.0 * nup)
-        - 0.5 * math.log(nu / nup)
-        - 0.5
-        - alpha * math.log(beta / betap)
-        + math.lgamma(alpha) - math.lgamma(alphap)
-        - (alpha - alphap) * float(sc.psi(alphap))
-        + alphap * (beta - betap) / betap
-    )
-
-
-def kl_grad(params: GcpParams, fixed: GcpParams, y: float):
-    """Analytic gradient of kl_loss in (m, nu, alpha, beta), posterior held
-    fixed (it is a function of `fixed` and y, not of `params`)."""
-    import scipy.special as sc
-
-    post = posterior_update(fixed, y)
-    m, nu, alpha, beta = params.m, params.nu, params.alpha, params.beta
-    mp, nup, alphap, betap = post.m, post.nu, post.alpha, post.beta
-    dm = alphap * nu * (m - mp) / betap
-    dnu = alphap * (m - mp) ** 2 / (2.0 * betap) + 0.5 / nup - 0.5 / nu
-    dalpha = -math.log(beta / betap) + float(sc.psi(alpha) - sc.psi(alphap))
-    dbeta = -alpha / beta + alphap / betap
-    return dm, dnu, dalpha, dbeta
-
-
 def nll_terms_arrays(m, nu, alpha, beta, y):
     """Negative log density of the marginal Student's t at y and its four
     gradients, over aligned arrays; returns (nll, dm, dnu, dalpha, dbeta).
@@ -118,8 +60,8 @@ def nll_terms_arrays(m, nu, alpha, beta, y):
         lnG(a) - lnG(a+1/2) + ln(2*pi)/2 + ln(sigma)/2
             + (a+1/2) * ln(1 + (y-m)^2/(2*sigma)).
     """
-    # imported here, as in kl_loss and kl_grad, so that only the commands
-    # that train load scipy; the module form costs 0.5 us a call
+    # imported here so that only the commands that train load scipy; the
+    # module form costs 0.5 us a call
     import scipy.special as sc
 
     nu1 = nu + 1.0
@@ -140,23 +82,6 @@ def nll_terms_arrays(m, nu, alpha, beta, y):
     dalpha = sc.psi(alpha) - sc.psi(alpha_half) + log_term
     dbeta = -core / beta
     return nll, dm, dnu, dalpha, dbeta
-
-
-def _nll_terms(params: GcpParams, y: float):
-    if not math.isfinite(y):
-        raise ValueError(f"observation must be finite, got {y!r}")
-    return nll_terms_arrays(params.m, params.nu, params.alpha, params.beta, y)
-
-
-def student_nll(params: GcpParams, y: float) -> float:
-    """Scalar nll_terms_arrays: the marginal Student's t NLL at y."""
-    return float(_nll_terms(params, y)[0])
-
-
-def student_nll_grad(params: GcpParams, y: float):
-    """Scalar nll_terms_arrays: the gradient of student_nll in
-    (m, nu, alpha, beta)."""
-    return tuple(float(v) for v in _nll_terms(params, y)[1:])
 
 
 STUDENT_VARIANCE_INFINITE = math.inf

@@ -4,6 +4,10 @@ and CSV round trips."""
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -292,6 +296,29 @@ class TestCsv:
         back = dat.load_csv(p)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.targets, ds.targets)
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # under a C locale without UTF-8 mode open()'s default codec is ASCII
+        good, bad = tmp_path / "accent.csv", tmp_path / "latin1.csv"
+        good.write_bytes("x\u00e9,y\n1,2\n3,4\n".encode("utf-8"))
+        bad.write_bytes(b"x\xe9,y\n1,2\n3,4\n")
+        probe = ("import sys\n"
+                 "from gcpnet import data\n"
+                 "print(data.load_csv(sys.argv[1]).n)\n"
+                 "try:\n"
+                 "    data.load_csv(sys.argv[2])\n"
+                 "except ValueError as exc:\n"
+                 "    print(exc)\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0", PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe, str(good),
+                               str(bad)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "2", f"{bad}: not UTF-8 text (invalid continuation byte)"]
 
 
 class TestNormStatsSidecar:

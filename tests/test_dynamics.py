@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from gcpnet import dynamics as dyn
+from gcpnet import gcp
+from gcpnet.gcp import GcpParams
 from gcpnet.special import hermite_rule, legendre_rule, solve_A
 
 OUT5 = ("gaussian", 5.0, 1.0)
@@ -349,7 +351,7 @@ class TestJacobian:
 
 class TestFlow:
     def test_flow_matches_integral_combination(self):
-        st = dyn.DynState(m=0.1, nu=1.0, alpha=1.5, beta=0.5)
+        st = GcpParams(m=0.1, nu=1.0, alpha=1.5, beta=0.5)
         s = spec_at(0.05)
         dm, dnu, dalpha, dbeta, dsigma = dyn.flow(st, s)
         f, g, h = dyn.fgh(st.m, st.alpha, st.sigma, s)
@@ -359,14 +361,38 @@ class TestFlow:
         np.testing.assert_allclose(dbeta, h / st.beta, rtol=1e-14)
 
     def test_sigma_rate_is_chain_rule_of_beta_and_nu(self):
-        st = dyn.DynState(m=-0.2, nu=2.3, alpha=0.9, beta=1.4)
+        st = GcpParams(m=-0.2, nu=2.3, alpha=0.9, beta=1.4)
         _, dnu, _, dbeta, dsigma = dyn.flow(st, spec_at(0.12))
         ref = dbeta * (st.nu + 1.0) / st.nu - st.beta * dnu / st.nu**2
         np.testing.assert_allclose(dsigma, ref, rtol=1e-12)
 
     def test_sigma_property(self):
-        st = dyn.DynState(m=0.0, nu=2.0, alpha=1.0, beta=3.0)
+        st = GcpParams(m=0.0, nu=2.0, alpha=1.0, beta=3.0)
         np.testing.assert_allclose(st.sigma, 4.5, rtol=1e-15)
+
+    @pytest.mark.parametrize("eps, outlier", [
+        (0.0, OUT5), (0.04, OUT5), (0.1, ("gaussian", 3.0, 4.0)),
+        (0.08, ("uniform", -4.0, 16.0))])
+    @pytest.mark.parametrize("state", [(0.3, 1.0, 1.2, 0.6),
+                                       (-0.2, 2.3, 0.9, 1.4),
+                                       (1.5, 0.5, 3.0, 2.0),
+                                       (0.1, 4.0, 0.2, 0.3)])
+    def test_flow_is_minus_the_mean_training_gradient(self, eps, outlier,
+                                                       state):
+        # the laboratory's flow is the trainer's NLL gradient averaged over
+        # the data: the sum of gcp.nll_terms_arrays's four gradients,
+        # weighted by component weight times node weight, on the nodes
+        spec = spec_at(eps, outlier)
+        rates, _ = dyn._rates(*state, spec)
+        total, scale = np.zeros(4), np.zeros(4)
+        for weight, kind, a, b in spec.components():
+            center, weights, offsets, _ = dyn._component_nodes(kind, a, b,
+                                                               spec.nodes)
+            terms = weight * weights * np.array(
+                gcp.nll_terms_arrays(*state, center + offsets)[1:])
+            total += terms.sum(axis=1)
+            scale += np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(np.array(rates) + total) <= 1e-13 * scale)
 
 
 def full_tableau():
@@ -451,21 +477,20 @@ def test_written_out_stages_follow_the_tableau():
 class TestIntegrate:
     def test_settles_onto_certified_equilibrium(self):
         s = spec_at(0.1)
-        start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
+        start = GcpParams(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
         traj = dyn.integrate(start, s, t_end=600.0, settle_tol=1e-8)
         assert traj.settled
         eq = dyn.equilibrium(s)
-        end = traj.end_state()
-        assert abs(end.m - eq.m) < 1e-5
-        assert abs(end.alpha - eq.alpha) < 1e-5
-        assert abs(end.sigma - eq.sigma) < 1e-5
+        assert abs(traj.m[-1] - eq.m) < 1e-5
+        assert abs(traj.alpha[-1] - eq.alpha) < 1e-5
+        assert abs(traj.sigma[-1] - eq.sigma) < 1e-5
 
     def test_equilibrium_is_stationary(self):
         s = spec_at(0.05)
         eq = dyn.equilibrium(s)
         nu = 1.0
-        start = dyn.DynState(m=eq.m, nu=nu, alpha=eq.alpha,
-                             beta=eq.sigma * nu / (nu + 1.0))
+        start = GcpParams(m=eq.m, nu=nu, alpha=eq.alpha,
+                          beta=eq.sigma * nu / (nu + 1.0))
         traj = dyn.integrate(start, s, t_end=50.0)
         assert abs(traj.m[-1] - eq.m) < 1e-8
         assert abs(traj.alpha[-1] - eq.alpha) < 1e-8
@@ -475,7 +500,7 @@ class TestIntegrate:
         # with eps = 0 there is no rest point: alpha and sigma grow without
         # bound along the high-sigma channel while the mean still relaxes
         s = spec_at(0.0, m_g=0.0)
-        start = dyn.DynState(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
+        start = GcpParams(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
         traj = dyn.integrate(start, s, t_end=5e6, escape_bound=1e3)
         assert traj.escaped
         assert traj.alpha[-1] > 1e3 and traj.sigma[-1] > 1e3
@@ -484,7 +509,7 @@ class TestIntegrate:
     def test_escape_follows_square_root_law(self):
         # on the high-sigma channel dalpha/dt ~ 1/(2 alpha)
         s = spec_at(0.0)
-        start = dyn.DynState(m=0.0, nu=1.0, alpha=1.0, beta=1.5e7)
+        start = GcpParams(m=0.0, nu=1.0, alpha=1.0, beta=1.5e7)
         traj = dyn.integrate(start, s, t_end=4e5)
         half = np.searchsorted(traj.t, traj.t[-1] / 4.0)
         ratio = traj.alpha[-1] / traj.alpha[half]
@@ -506,7 +531,7 @@ class TestIntegrate:
         # the start costs one evaluation and each attempt six: its seventh
         # stage is the next attempt's first, and a rejected retry reuses it
         calls = self.count_fgh(monkeypatch)
-        start = dyn.DynState(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
+        start = GcpParams(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7)
         traj = dyn.integrate(start, spec_at(0.0), t_end=5e6, escape_bound=1e3)
         accepted = len(traj.t) - 1
         assert traj.escaped and traj.rejected > 0
@@ -517,7 +542,7 @@ class TestIntegrate:
         # the settle check's f(u) is the seventh stage of the step that
         # reached u, so the count is the escape run's formula
         calls = self.count_fgh(monkeypatch)
-        start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
+        start = GcpParams(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
         traj = dyn.integrate(start, spec_at(0.1), t_end=600.0,
                              settle_tol=1e-8)
         accepted = len(traj.t) - 1
@@ -532,8 +557,8 @@ class TestIntegrate:
         # (3,319 evaluations to t = 1000); capped, it settles in 661
         s = spec_at(0.1)
         eq = dyn.equilibrium(s)
-        start = dyn.DynState(m=eq.m + 0.01, nu=1.0, alpha=eq.alpha * 1.01,
-                             beta=0.5 * eq.sigma * 1.01)
+        start = GcpParams(m=eq.m + 0.01, nu=1.0, alpha=eq.alpha * 1.01,
+                          beta=0.5 * eq.sigma * 1.01)
         traj = dyn.integrate(start, s, t_end=1000.0, settle_tol=1e-9)
         assert traj.settled and traj.evaluations <= 1300
 
@@ -547,7 +572,7 @@ class TestIntegrate:
             return finite_rates(k)
 
         monkeypatch.setattr(dyn, "_finite_rates", counting)
-        traj = dyn.integrate(dyn.GcpParams(m=0.0, nu=1.0, alpha=1e-6, beta=0.5),
+        traj = dyn.integrate(GcpParams(m=0.0, nu=1.0, alpha=1e-6, beta=0.5),
                              spec_at(0.05), t_end=5.0)
         assert refused and traj.rejected >= 1
         assert not traj.truncated and traj.t[-1] == 5.0
@@ -556,14 +581,14 @@ class TestIntegrate:
 
     def test_step_budget_marks_truncation(self, monkeypatch):
         s = spec_at(0.1)
-        start = dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
+        start = GcpParams(m=0.3, nu=1.0, alpha=1.2, beta=0.6)
         monkeypatch.setattr(dyn, "MAX_STEPS", 5)
         traj = dyn.integrate(start, s, t_end=600.0)
         assert traj.truncated and not traj.settled
 
     def test_trajectory_time_grid_is_increasing(self):
         s = spec_at(0.1)
-        traj = dyn.integrate(dyn.DynState(m=0.0, nu=1.0, alpha=1.0, beta=0.5),
+        traj = dyn.integrate(GcpParams(m=0.0, nu=1.0, alpha=1.0, beta=0.5),
                              s, t_end=10.0)
         assert np.all(np.diff(traj.t) > 0)
         assert traj.t[0] == 0.0
@@ -687,14 +712,13 @@ class TestEquilibrium:
         for eps in (0.01, 0.05, 0.1):
             s = spec_at(eps)
             eq = dyn.equilibrium(s)
-            start = dyn.DynState(m=0.2, nu=1.0, alpha=1.1, beta=0.55)
+            start = GcpParams(m=0.2, nu=1.0, alpha=1.1, beta=0.55)
             # the settle tolerance ends the run; the horizon only bounds it
             traj = dyn.integrate(start, s, t_end=20000.0, settle_tol=1e-9)
             assert traj.settled
-            end = traj.end_state()
-            assert abs(end.m - eq.m) < 1e-5
-            assert abs(end.alpha - eq.alpha) < 1e-5
-            assert abs(end.sigma - eq.sigma) < 1e-5
+            assert abs(traj.m[-1] - eq.m) < 1e-5
+            assert abs(traj.alpha[-1] - eq.alpha) < 1e-5
+            assert abs(traj.sigma[-1] - eq.sigma) < 1e-5
 
     @pytest.mark.parametrize("outlier", [OUT5, ("gaussian", 3.0, 4.0),
                                          ("uniform", -4.0, 16.0)])

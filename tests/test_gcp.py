@@ -1,6 +1,7 @@
-"""Tests for the normal-gamma belief layer: posterior updates, the two
-equivalent losses, analytic gradients, prognostic variances, and the
-first-order contamination correction constants."""
+"""Tests for the normal-gamma belief layer: the marginal NLL and its
+analytic gradients, their agreement with the KL route of tests/reference.py
+(posterior updates, the KL loss and its gradient), prognostic variances, and
+the first-order contamination correction constants."""
 
 import math
 
@@ -12,9 +13,15 @@ from scipy.stats import t as student_t
 
 from gcpnet import gcp
 from gcpnet.special import delta_psi, solve_A
+from reference import kl_grad, kl_loss, posterior_update
 
 positive = st.floats(min_value=0.05, max_value=50.0)
 reals = st.floats(min_value=-30.0, max_value=30.0)
+
+
+def nll_terms(p, y):
+    """gcp.nll_terms_arrays at one point: (nll, dm, dnu, dalpha, dbeta)."""
+    return gcp.nll_terms_arrays(p.m, p.nu, p.alpha, p.beta, y)
 
 
 def random_params(rng):
@@ -43,7 +50,7 @@ class TestPosteriorUpdate:
     @settings(max_examples=60, deadline=None)
     def test_update_algebra(self, m, nu, alpha, beta, y):
         prior = gcp.GcpParams(m=m, nu=nu, alpha=alpha, beta=beta)
-        post = gcp.posterior_update(prior, y)
+        post = posterior_update(prior, y)
         np.testing.assert_allclose(post.m, (nu * m + y) / (nu + 1.0), rtol=1e-12)
         assert post.nu == nu + 1.0
         assert post.alpha == alpha + 0.5
@@ -52,33 +59,33 @@ class TestPosteriorUpdate:
 
     def test_observation_at_mean_only_bumps_counts(self):
         prior = gcp.GcpParams(m=1.5, nu=3.0, alpha=2.0, beta=1.0)
-        post = gcp.posterior_update(prior, 1.5)
+        post = posterior_update(prior, 1.5)
         assert (post.m, post.nu, post.alpha, post.beta) == (1.5, 4.0, 2.5, 1.0)
 
     def test_rejects_nonfinite_observation(self):
         prior = gcp.GcpParams(m=0.0, nu=1.0, alpha=1.0, beta=1.0)
         with pytest.raises(ValueError):
-            gcp.posterior_update(prior, math.inf)
+            posterior_update(prior, math.inf)
 
 
 class TestKlLoss:
     def test_zero_exactly_at_posterior(self):
         fixed = gcp.GcpParams(m=0.3, nu=2.0, alpha=1.5, beta=0.8)
-        post = gcp.posterior_update(fixed, 1.1)
-        assert gcp.kl_loss(post, fixed, 1.1) == 0.0
+        post = posterior_update(fixed, 1.1)
+        assert kl_loss(post, fixed, 1.1) == 0.0
 
     def test_positive_away_from_posterior(self):
         fixed = gcp.GcpParams(m=0.3, nu=2.0, alpha=1.5, beta=0.8)
         rng = np.random.default_rng(0)
         for _ in range(25):
             other = random_params(rng)
-            assert gcp.kl_loss(other, fixed, 1.1) > 0.0
+            assert kl_loss(other, fixed, 1.1) > 0.0
 
     def test_gradient_matches_finite_differences(self):
         fixed = gcp.GcpParams(m=-0.2, nu=1.3, alpha=2.1, beta=0.7)
         params = gcp.GcpParams(m=0.4, nu=2.6, alpha=1.2, beta=1.5)
         y = 0.9
-        grad = gcp.kl_grad(params, fixed, y)
+        grad = kl_grad(params, fixed, y)
         names = ("m", "nu", "alpha", "beta")
         for i, name in enumerate(names):
             h = 1e-6 * max(1.0, abs(getattr(params, name)))
@@ -86,8 +93,8 @@ class TestKlLoss:
             dn = dict(up)
             up[name] += h
             dn[name] -= h
-            fd = (gcp.kl_loss(gcp.GcpParams(**up), fixed, y)
-                  - gcp.kl_loss(gcp.GcpParams(**dn), fixed, y)) / (2.0 * h)
+            fd = (kl_loss(gcp.GcpParams(**up), fixed, y)
+                  - kl_loss(gcp.GcpParams(**dn), fixed, y)) / (2.0 * h)
             np.testing.assert_allclose(grad[i], fd, rtol=2e-6, atol=1e-9)
 
     def test_gradient_equals_marginal_gradient_at_shared_point(self):
@@ -97,8 +104,8 @@ class TestKlLoss:
         for _ in range(20):
             p = random_params(rng)
             y = float(rng.normal(scale=2.0))
-            kg = gcp.kl_grad(p, p, y)
-            sg = gcp.student_nll_grad(p, y)
+            kg = kl_grad(p, p, y)
+            sg = nll_terms(p, y)[1:]
             np.testing.assert_allclose(kg, sg, rtol=1e-10, atol=1e-12)
 
 
@@ -108,7 +115,7 @@ class TestStudentNll:
         # unit scale the density is 1/(pi*sqrt(2))
         p = gcp.GcpParams(m=0.7, nu=3.0, alpha=0.5, beta=0.75)
         assert p.sigma == 1.0
-        np.testing.assert_allclose(gcp.student_nll(p, 0.7),
+        np.testing.assert_allclose(nll_terms(p, 0.7)[0],
                                    1.4913034761293729, rtol=1e-15)
 
     def test_matches_scipy_t(self):
@@ -116,7 +123,7 @@ class TestStudentNll:
         scale = math.sqrt(p.sigma / p.alpha)
         for y in (0.2, -1.4, 6.0, 0.21):
             ref = -student_t.logpdf(y, df=2.0 * p.alpha, loc=p.m, scale=scale)
-            np.testing.assert_allclose(gcp.student_nll(p, y), ref, rtol=1e-13)
+            np.testing.assert_allclose(nll_terms(p, y)[0], ref, rtol=1e-13)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -124,18 +131,19 @@ class TestStudentNll:
         for _ in range(10):
             p = random_params(rng)
             y = float(rng.normal(scale=2.0))
-            grad = gcp.student_nll_grad(p, y)
+            grad = nll_terms(p, y)[1:]
             for i, name in enumerate(names):
                 h = 1e-6 * max(1.0, abs(getattr(p, name)))
                 up = {n: getattr(p, n) for n in names}
                 dn = dict(up)
                 up[name] += h
                 dn[name] -= h
-                fd = (gcp.student_nll(gcp.GcpParams(**up), y)
-                      - gcp.student_nll(gcp.GcpParams(**dn), y)) / (2.0 * h)
+                fd = (nll_terms(gcp.GcpParams(**up), y)[0]
+                      - nll_terms(gcp.GcpParams(**dn), y)[0]) / (2.0 * h)
                 np.testing.assert_allclose(grad[i], fd, rtol=5e-6, atol=1e-8)
 
     def test_array_path_matches_scalar_path(self):
+        # one call over 40 points agrees with 40 one-point calls
         rng = np.random.default_rng(9)
         n = 40
         m = rng.normal(size=n)
@@ -146,10 +154,11 @@ class TestStudentNll:
         nll, dm, dnu, dalpha, dbeta = gcp.nll_terms_arrays(m, nu, alpha, beta, y)
         for i in range(n):
             p = gcp.GcpParams(m=m[i], nu=nu[i], alpha=alpha[i], beta=beta[i])
-            np.testing.assert_allclose(nll[i], gcp.student_nll(p, y[i]), rtol=1e-12)
+            terms = nll_terms(p, float(y[i]))
+            np.testing.assert_allclose(nll[i], terms[0], rtol=1e-12)
             np.testing.assert_allclose(
                 (dm[i], dnu[i], dalpha[i], dbeta[i]),
-                gcp.student_nll_grad(p, y[i]), rtol=1e-10, atol=1e-13)
+                terms[1:], rtol=1e-10, atol=1e-13)
 
 
 def variances_at(nu, alpha, beta):

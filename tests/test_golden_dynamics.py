@@ -18,6 +18,7 @@ import pathlib
 import pytest
 
 from gcpnet import dynamics as dyn
+from gcpnet.gcp import GcpParams
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "dynamics.json"
 
@@ -39,8 +40,8 @@ COLD_EPS = {"gauss-5-1": 0.035, "gauss-3-4": 0.04, "uniform-m4-16": 0.045}
 
 
 def _run_record(traj):
-    end = traj.end_state()
-    return {"state": [end.m, end.nu, end.alpha, end.beta],
+    return {"state": [float(traj.m[-1]), float(traj.nu[-1]),
+                      float(traj.alpha[-1]), float(traj.beta[-1])],
             "t": float(traj.t[-1]), "steps": len(traj.t),
             "settled": traj.settled, "escaped": traj.escaped,
             "truncated": traj.truncated}
@@ -59,10 +60,10 @@ def compute():
                       "root": [eq.m, eq.alpha, eq.sigma],
                       "iterations": eq.iterations}
     escape = dyn.integrate(
-        dyn.DynState(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7),
+        GcpParams(m=1.2, nu=1.0, alpha=1.0, beta=1.5e7),
         dyn.ContaminationSpec(epsilon=0.0), t_end=5e6, escape_bound=1e3)
     settle = dyn.integrate(
-        dyn.DynState(m=0.3, nu=1.0, alpha=1.2, beta=0.6),
+        GcpParams(m=0.3, nu=1.0, alpha=1.2, beta=0.6),
         dyn.ContaminationSpec(epsilon=0.1), t_end=600.0, settle_tol=1e-8)
     return {"sweeps": sweeps, "cold": cold, "escape": _run_record(escape),
             "settle": _run_record(settle)}
