@@ -15,7 +15,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import pathlib
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -143,8 +146,8 @@ FLAGS = {
     "--fractions": Numbers("fractions", Domain("fractions", "in [0, 1)"),
                            distinct=True),
     "--repeats": Domain("repeats", "at least 1"),
-    "--jobs": Domain("jobs", "at least 1", help="recorded in "
-                     "manifest.json; cells run serially"),
+    "--jobs": Domain("jobs", "at least 1", help="processes that share "
+                     "the cells: the caller and jobs - 1 forked children"),
     "--alpha": Domain("alpha", "positive and finite"),
     "--nodes": Domain("nodes", "at least 2", help="quadrature nodes override"),
     "--gaussian-outliers": Numbers("gaussian_outliers", ("m_o", "v_o")),
@@ -541,19 +544,67 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
     return results
 
 
+def _run_cells(run, cells, jobs):
+    """[run(cell) for cell in cells] in n = min(jobs, len(cells)) processes
+    where os.fork exists: worker w runs the cells i = w (mod n), the caller
+    is worker 0, and a child pipes back a pickle of its results or of its
+    first failure.  All reaped, the lowest-index failure is raised."""
+    n = min(jobs, len(cells)) if hasattr(os, "fork") else 1
+
+    def share(w):
+        done = {}
+        for i in range(w, len(cells), n):
+            try:
+                done[i] = run(cells[i])
+            except Exception as exc:
+                return done, (i, exc)
+        return done, None
+
+    children = []
+    try:
+        for w in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write, "wb") as fh:
+                        pickle.dump(share(w), fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [share(0)] + [pickle.load(fh) for _, fh in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = {i: out for results, _ in shares for i, out in results.items()}
+    return [done[i] for i in range(len(cells))]
+
+
 def cmd_bench(args):
+    from . import net  # noqa: F401 -- before any fork: children inherit it
+
     resolved = _resolve_train_config(args)
     fractions, repeats = args.fractions, args.repeats
-    long_rows = []
+    cells = []
     for fi, fraction in enumerate(fractions):
         for rep in range(repeats):
-            job_seed = int(np.random.SeedSequence(
-                entropy=resolved["seed"],
-                spawn_key=(fi * repeats + rep,)).generate_state(1)[0])
-            long_rows.extend(
-                (fraction, rep, job_seed, model, rmse_v, auc_v)
-                for model, rmse_v, auc_v in _bench_job(
-                    args.data, resolved, fraction, job_seed, args.ensemble))
+            seq = np.random.SeedSequence(entropy=resolved["seed"],
+                                         spawn_key=(fi * repeats + rep,))
+            cells.append((fraction, rep, int(seq.generate_state(1)[0])))
+    results = _run_cells(lambda cell: _bench_job(
+        args.data, resolved, cell[0], cell[2], args.ensemble),
+        cells, args.jobs)
+    long_rows = [(*cell, *row) for cell, rows in zip(cells, results)
+                 for row in rows]
 
     summary_rows = []
     models = sorted({row[3] for row in long_rows})
@@ -566,7 +617,8 @@ def cmd_bench(args):
             k = len(picks)
 
             def stderr(v):
-                return float(np.std(v, ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+                return (float(np.std(v, ddof=1) / math.sqrt(k)) if k > 1
+                        else 0.0)
 
             summary_rows.append((fraction, model, float(rmses.mean()),
                                  stderr(rmses), float(aucs.mean()),

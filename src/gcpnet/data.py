@@ -31,10 +31,12 @@ class NormStats:
     target_std: float
 
     def transform_features(self, x):
-        return (np.asarray(x, dtype=float) - self.feature_mean) / self.feature_std
+        return ((np.asarray(x, dtype=float) - self.feature_mean)
+                / self.feature_std)
 
     def transform_targets(self, y):
-        return (np.asarray(y, dtype=float) - self.target_mean) / self.target_std
+        return ((np.asarray(y, dtype=float) - self.target_mean)
+                / self.target_std)
 
     def inverse_mean_variance(self, mean, variance):
         """De-normalize a predictive mean and variance pair."""
@@ -90,7 +92,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Settings for the heteroscedastic sine benchmark with uniform outliers."""
+    """Settings of the heteroscedastic sine benchmark with uniform outliers."""
 
     n: int = 400
     outlier_prob: float = 0.05
@@ -116,7 +118,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     x = rng.uniform(-1.0, 1.0, size=spec.n)
     is_outlier = rng.random(spec.n) < spec.outlier_prob
-    clean = np.sin(3.0 * x) + conditional_noise_std(x) * rng.normal(size=spec.n)
+    clean = (np.sin(3.0 * x)
+             + conditional_noise_std(x) * rng.normal(size=spec.n))
     wild = rng.uniform(-4.0, 16.0, size=spec.n)
     y = np.where(is_outlier, wild, clean)
     return Dataset(features=x.reshape(-1, 1), targets=y,

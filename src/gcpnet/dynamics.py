@@ -243,7 +243,8 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, jacobian=False):
     sums = [0.0] * 5
     for weight, kind, a, b in spec.components():
         part = _component_sums(m, alpha, sigma, weight,
-                               _component_nodes(kind, a, b, spec.nodes), jacobian)
+                               _component_nodes(kind, a, b, spec.nodes),
+                               jacobian)
         f, g, h = f + part[0], g + part[1], h + part[2]
         if jacobian:
             sums = [s + p for s, p in zip(sums, part[3:])]
@@ -254,8 +255,8 @@ def fgh(m, alpha, sigma, spec: ContaminationSpec, jacobian=False):
                              sums)
         finite = finite and all(map(math.isfinite, jac[0] + jac[1] + jac[2]))
     if not finite:
-        raise NumericError(f"non-finite flow integrals at m={m}, alpha={alpha}, "
-                           f"sigma={sigma}")
+        raise NumericError(f"non-finite flow integrals at m={m}, "
+                           f"alpha={alpha}, sigma={sigma}")
     return ((f, g, h), jac) if jacobian else (f, g, h)
 
 
@@ -613,7 +614,8 @@ def newton_equilibrium(spec: ContaminationSpec, guess) -> Equilibrium:
                      step_bound=max(map(abs, _solve(jac2, res2, x))))
     if not converged:
         raise NonConvergenceError(
-            f"root failed certification at doubled nodes: residuals {eq.residuals}")
+            f"root failed certification at doubled nodes: residuals "
+            f"{eq.residuals}")
     return eq
 
 
@@ -643,7 +645,8 @@ def asymptotic_guess(spec: ContaminationSpec):
     offset = first + second
     # the eps^2 term dwarfs the linear one at moderate eps; never let it
     # flip the guess to the wrong side of the generative mean
-    if first != 0.0 and (offset * first <= 0.0 or abs(offset) < 1e-3 * abs(first)):
+    if first != 0.0 and (offset * first <= 0.0
+                         or abs(offset) < 1e-3 * abs(first)):
         offset = 1e-3 * first
     alpha0 = max(3.0 * spec.v_g**2 / (ind.c_go * eps), 0.05)
     if not alpha0 <= ALPHA_CAP:

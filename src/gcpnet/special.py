@@ -52,9 +52,14 @@ class TrainingDiverged(RuntimeError):
         self.batch = batch
         self.sample_index = sample_index
 
+    def __reduce__(self):
+        # a pickle, as a forked bench worker sends it, keeps every field
+        return type(self), (self.epoch, self.batch, self.sample_index,
+                            *self.args)
+
 
 def _psi_tail(x: float) -> float:
-    """ln(x) - Psi(x) by its asymptotic series, exact to roundoff for x >= 20."""
+    """ln(x) - Psi(x) by asymptotic series, exact to roundoff for x >= 20."""
     inv2 = 1.0 / (x * x)
     return 0.5 / x + inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (
         1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
@@ -78,7 +83,7 @@ def delta_psi(alpha: float) -> float:
 
 
 def _trigamma_tail(x: float) -> float:
-    """Psi'(x) - 1/x by its asymptotic series, exact to roundoff for x >= 20."""
+    """Psi'(x) - 1/x by asymptotic series, exact to roundoff for x >= 20."""
     inv = 1.0 / x
     inv2 = inv * inv
     return inv2 * (0.5 + inv * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (
@@ -95,7 +100,8 @@ def delta_trigamma(alpha: float) -> float:
     while x < 20.0:
         gap += (x + 0.25) / (x * (x + 0.5)) ** 2
         x += 1.0
-    return gap + 0.5 / (x * (x + 0.5)) + _trigamma_tail(x) - _trigamma_tail(x + 0.5)
+    return (gap + 0.5 / (x * (x + 0.5)) + _trigamma_tail(x)
+            - _trigamma_tail(x + 0.5))
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -144,7 +150,8 @@ def _mirrored(half, weights, zero_weight, n) -> QuadratureRule:
     mid = [0.0] if n % 2 else []
     return QuadratureRule(
         np.concatenate((-half[::-1], mid, half)),
-        np.concatenate((weights[::-1], [zero_weight] if n % 2 else [], weights)))
+        np.concatenate((weights[::-1], [zero_weight] if n % 2 else [],
+                        weights)))
 
 
 def _hermite_ratio(x, n, weights):
@@ -271,10 +278,11 @@ def _gap_state(x: float):
                    + 7.864101148327068) * x + 58.169963712043064) * x
                  + 256.2738517866059) * x + 727.1773208563878) * x
                + 1258.6479468114035) * x + 1.23033935480374942e03)
-             / ((((((((x + 1.57449261107098347e01) * x + 1.17693950891312499e02)
-                     * x + 5.37181101862009858e02) * x + 1.62138957456669019e03)
-                   * x + 3.29079923573345963e03) * x + 4.36261909014324716e03)
-                 * x + 3.43936767414372164e03) * x + 1.23033935480374942e03))
+             / ((((((((x + 1.57449261107098347e01) * x
+                      + 1.17693950891312499e02) * x + 5.37181101862009858e02)
+                    * x + 1.62138957456669019e03) * x + 3.29079923573345963e03)
+                  * x + 4.36261909014324716e03) * x + 3.43936767414372164e03)
+                * x + 1.23033935480374942e03))
         r = 1.0 - c
     w = 0.5 * (r - 2.0 * x * x * c)
     return r, c, 0.5 * r / c, w / c, r * c / w

@@ -592,15 +592,74 @@ class TestBench:
         assert len(ens) - len(lone) == 4
         assert [row for row in ens if ",ens_gcp," not in row] == lone
 
+    BENCH = ["bench", "synthetic", "--epochs", "10", "--n", "60",
+             "--test-n", "20", "--fractions", "0,0.1", "--repeats", "2",
+             "--seed", "7"]
+    OUTPUTS = ("bench.csv", "summary.csv")
+
+    def outputs(self, out):
+        return [(out / name).read_bytes() for name in self.OUTPUTS]
+
     def test_jobs_flag_reproduces_serial_results(self, tmp_path):
-        argv = ["bench", "synthetic", "--epochs", "10", "--n", "60",
-                "--test-n", "20", "--fractions", "0,0.1", "--repeats", "2",
-                "--seed", "7"]
+        # 4 cells: two workers take two each, three split them 2, 1, 1
+        argv = self.BENCH + ["--ensemble", "--members", "2"]
         assert cli.main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        assert cli.main(argv + ["--jobs", "3",
-                                "--out", str(tmp_path / "par")]) == 0
-        assert ((tmp_path / "serial" / "bench.csv").read_bytes()
-                == (tmp_path / "par" / "bench.csv").read_bytes())
+        serial = self.outputs(tmp_path / "serial")
+        for jobs in ("2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+            assert self.outputs(out) == serial
+
+    def test_failing_cell_ends_as_the_serial_run_does(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # cells 1 and 2 fail.  With two workers the child owns cell 1 and
+        # the caller cell 2, and the lower index is the failure reported
+        seeds = [int(np.random.SeedSequence(entropy=7, spawn_key=(k,))
+                     .generate_state(1)[0]) for k in range(4)]
+        failing = {seeds[1]: "child's cell", seeds[2]: "caller's cell"}
+        job = cli._bench_job
+
+        def bench_job(source, resolved, fraction, job_seed, with_ensemble):
+            if job_seed in failing:
+                raise cli.TrainingDiverged(0, 1, 2, failing[job_seed])
+            return job(source, resolved, fraction, job_seed, with_ensemble)
+
+        monkeypatch.setattr(cli, "_bench_job", bench_job)
+        ends = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code = cli.main(self.BENCH + ["--jobs", jobs, "--out", str(out)])
+            ends.append((code, capsys.readouterr()))
+            assert not (out / "manifest.json").exists()
+        assert ends[0] == ends[1]
+        assert ends[0][0] == 3
+        assert ends[0][1].err == "numeric failure: child's cell\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_above_the_cell_count_forks_one_child_per_extra_cell(
+            self, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        out = tmp_path / "jobs9"
+        assert cli.main(self.BENCH + ["--jobs", "9", "--out", str(out)]) == 0
+        assert len(forks) == 3
+        monkeypatch.undo()
+        assert cli.main(self.BENCH + ["--out", str(tmp_path / "serial")]) == 0
+        assert self.outputs(out) == self.outputs(tmp_path / "serial")
+
+    def test_jobs_without_fork_run_in_the_caller(self, tmp_path, monkeypatch):
+        assert cli.main(self.BENCH + ["--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "jobs2"
+        assert cli.main(self.BENCH + ["--jobs", "2", "--out", str(out)]) == 0
+        assert self.outputs(out) == self.outputs(tmp_path / "serial")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -25,6 +25,7 @@ ALLOWED = {
     "net.MlpHead.finite_heads": ERROR_PATH,
     "net._blamed_column": ERROR_PATH,
     "special.TrainingDiverged.__init__": ERROR_PATH,
+    "special.TrainingDiverged.__reduce__": ERROR_PATH,
     "dynamics.InverseReport.power_ratios": ITEM_7,
     "dynamics.InverseReport.ratios": ITEM_7,
     "dynamics._inverse_residual": ITEM_7,

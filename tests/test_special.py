@@ -3,6 +3,7 @@ trigamma gaps, quadrature rules, the A-function solver, and its
 interpolation table.  scipy and mpmath serve as references only."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -429,3 +430,11 @@ class TestAlphaTable:
 
     def test_shared_instance_is_cached(self):
         assert sp.alpha_table() is sp.alpha_table()
+
+
+def test_training_diverged_survives_a_pickle():
+    # a forked bench worker sends its failing cell's exception as a pickle
+    exc = pickle.loads(pickle.dumps(sp.TrainingDiverged(0, 1, 2, "m")))
+    assert type(exc) is sp.TrainingDiverged
+    assert (exc.epoch, exc.batch, exc.sample_index, str(exc)) == (0, 1, 2,
+                                                                  "m")
