@@ -17,8 +17,6 @@ import json
 import math
 import os
 import pathlib
-import pickle
-import signal
 import sys
 
 import numpy as np
@@ -99,7 +97,7 @@ class Numbers:
 
     def __call__(self, text):
         try:
-            values = [float(tok) for tok in text.split(",") if tok.strip()]
+            values = [float(tok) for tok in text.split(",")]
         except ValueError:
             values = []
         items = (self.items if isinstance(self.items, tuple)
@@ -544,54 +542,47 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
     return results
 
 
-def _run_cells(run, cells, jobs):
-    """[run(cell) for cell in cells] in n = min(jobs, len(cells)) processes
-    where os.fork exists: worker w runs the cells i = w (mod n), the caller
-    is worker 0, and a child pipes back a pickle of its results or of its
-    first failure.  All reaped, the lowest-index failure is raised."""
-    n = min(jobs, len(cells)) if hasattr(os, "fork") else 1
-
-    def share(w):
-        done = {}
-        for i in range(w, len(cells), n):
-            try:
-                done[i] = run(cells[i])
-            except Exception as exc:
-                return done, (i, exc)
-        return done, None
-
-    children = []
+def _bench_cell(cell):
+    """_bench_job(*cell)'s rows, or the exception that it raised."""
     try:
-        for w in range(1, n):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    with open(write, "wb") as fh:
-                        pickle.dump(share(w), fh)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        shares = [share(0)] + [pickle.load(fh) for _, fh in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    done = {i: out for results, _ in shares for i, out in results.items()}
-    return [done[i] for i in range(len(cells))]
+        return _bench_job(*cell)
+    except Exception as exc:
+        return exc
+
+
+def _run_cells(cells, jobs):
+    """[_bench_job(*cell) for cell in cells] or its lowest-index failure:
+    the caller runs cells 0, n, 2n, ... and n - 1 forked workers the rest."""
+    n = min(jobs, len(cells)) if hasattr(os, "fork") else 1
+    pool, broken, done = None, (), {}
+    if n > 1:
+        import multiprocessing
+        from concurrent.futures import process
+        broken, pool = process.BrokenProcessPool, process.ProcessPoolExecutor(
+            n - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        theirs = {i: pool.submit(_bench_cell, cell)
+                  for i, cell in enumerate(cells) if i % n}
+        for i in range(0, len(cells), n):
+            done[i] = _bench_cell(cells[i])
+            if isinstance(done[i], Exception):
+                break
+        for i in range(len(cells)):
+            done[i] = theirs[i].result() if i % n else done[i]
+            if isinstance(done[i], Exception):
+                raise done[i]
+        return [done[i] for i in range(len(cells))]
+    except broken as exc:
+        raise NumericError(f"a bench worker process died: {exc}") from exc
+    finally:  # no worker outlives the call or runs a cell nobody needs
+        if pool is not None:
+            for worker in multiprocessing.active_children():  # the pool's
+                worker.terminate()
+            pool.shutdown(cancel_futures=True)
 
 
 def cmd_bench(args):
     from . import net  # noqa: F401 -- before any fork: children inherit it
-
     resolved = _resolve_train_config(args)
     fractions, repeats = args.fractions, args.repeats
     cells = []
@@ -600,9 +591,8 @@ def cmd_bench(args):
             seq = np.random.SeedSequence(entropy=resolved["seed"],
                                          spawn_key=(fi * repeats + rep,))
             cells.append((fraction, rep, int(seq.generate_state(1)[0])))
-    results = _run_cells(lambda cell: _bench_job(
-        args.data, resolved, cell[0], cell[2], args.ensemble),
-        cells, args.jobs)
+    results = _run_cells([(args.data, resolved, fraction, seed, args.ensemble)
+                          for fraction, _, seed in cells], args.jobs)
     long_rows = [(*cell, *row) for cell, rows in zip(cells, results)
                  for row in rows]
 

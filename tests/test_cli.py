@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -612,8 +613,9 @@ class TestBench:
 
     def test_failing_cell_ends_as_the_serial_run_does(self, tmp_path,
                                                       capsys, monkeypatch):
-        # cells 1 and 2 fail.  With two workers the child owns cell 1 and
-        # the caller cell 2, and the lower index is the failure reported
+        # cells 1 and 2 fail.  At --jobs 2 a pool worker runs cell 1 and
+        # the caller cell 2, at 3 and 9 the workers run both, and the lower
+        # index is the failure reported
         seeds = [int(np.random.SeedSequence(entropy=7, spawn_key=(k,))
                      .generate_state(1)[0]) for k in range(4)]
         failing = {seeds[1]: "child's cell", seeds[2]: "caller's cell"}
@@ -626,14 +628,51 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_bench_job", bench_job)
         ends = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3", "9"):
             out = tmp_path / f"jobs{jobs}"
             code = cli.main(self.BENCH + ["--jobs", jobs, "--out", str(out)])
             ends.append((code, capsys.readouterr()))
             assert not (out / "manifest.json").exists()
-        assert ends[0] == ends[1]
+        assert ends[1:] == ends[:1] * 3
         assert ends[0][0] == 3
         assert ends[0][1].err == "numeric failure: child's cell\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker_is_a_numeric_failure(self, tmp_path, capsys,
+                                              monkeypatch):
+        caller, prepare = os.getpid(), cli._prepare_splits
+
+        def prepare_splits(source, job):
+            if os.getpid() != caller:
+                os._exit(1)
+            return prepare(source, job)
+
+        monkeypatch.setattr(cli, "_prepare_splits", prepare_splits)
+        out = tmp_path / "jobs2"
+        assert cli.main(self.BENCH + ["--jobs", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: a bench worker process died")
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_ends_the_workers_cells(self, tmp_path, monkeypatch):
+        # the caller is interrupted at its first cell while the worker
+        # sleeps in its own; no worker cell may run to its end
+        caller = os.getpid()
+
+        def bench_job(source, resolved, fraction, job_seed, with_ensemble):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(30)
+            (tmp_path / str(job_seed)).touch()
+
+        monkeypatch.setattr(cli, "_bench_job", bench_job)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(self.BENCH + ["--jobs", "3", "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("[0-9]*"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -718,6 +757,11 @@ USAGE_ERRORS = {
     "dynamics sweep --eps 0.04 --gaussian-outliers 5,1,2": "--gaussian-outliers",
     "dynamics sweep --eps ,": "--eps",
     "dynamics sweep --eps 0.04,1.5": "--eps",
+    # an empty item is refused, not dropped
+    "bench synthetic --fractions 0,,0.1": "--fractions",
+    "bench synthetic --fractions 0,0.1,": "--fractions",
+    "dynamics equilibrium --epsilon 0.04 --gaussian-outliers 5,,1":
+        "--gaussian-outliers",
     "train synthetic --preset nope": "preset",
     "train synthetic --config {tmp}/missing.json": "--config",
     "train synthetic --config {tmp}/text.json": "--config",

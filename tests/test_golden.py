@@ -3,9 +3,9 @@
 Every file a listed invocation writes, manifest included, must hash to the
 value in tests/golden/digests.json, and every JSON file among them must be
 strict JSON, without NaN or Infinity.  The digests depend on floating-point
-results, so the file also records the numpy, scipy and BLAS versions it was
-made with; a mismatch names them.  A change that moves numbers on purpose
-regenerates the file with
+results, so the file also records the numpy, scipy and BLAS versions and
+numpy's SIMD targets it was made with; a mismatch names them.  A change
+that moves numbers on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -81,9 +81,13 @@ print(json.dumps(digests))
 
 
 def versions():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas.get('version', '?')}"}
+            "blas": f"{blas['name']} {blas.get('version', '?')}",
+            # the SIMD targets numpy dispatches to on this host: its
+            # AVX-512 log1p differs from its AVX2 one in the last bit
+            "simd": config["SIMD Extensions"]["found"]}
 
 
 def artifact_digests(argv, out):
