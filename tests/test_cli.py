@@ -601,15 +601,16 @@ class TestBench:
     def outputs(self, out):
         return [(out / name).read_bytes() for name in self.OUTPUTS]
 
-    def test_jobs_flag_reproduces_serial_results(self, tmp_path):
-        # 4 cells: two workers take two each, three split them 2, 1, 1
+    def test_jobs_flag_reproduces_serial_results(self, tmp_path, capsys):
+        # 4 cells: two processes take two each, three split them 2, 1, 1,
+        # and nine are capped at four
         argv = self.BENCH + ["--ensemble", "--members", "2"]
         assert cli.main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        serial = self.outputs(tmp_path / "serial")
-        for jobs in ("2", "3"):
+        serial = self.outputs(tmp_path / "serial"), capsys.readouterr()
+        for jobs in ("2", "3", "9"):
             out = tmp_path / f"jobs{jobs}"
             assert cli.main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
-            assert self.outputs(out) == serial
+            assert (self.outputs(out), capsys.readouterr()) == serial
 
     def test_failing_cell_ends_as_the_serial_run_does(self, tmp_path,
                                                       capsys, monkeypatch):
