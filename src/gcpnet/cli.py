@@ -23,8 +23,8 @@ import numpy as np
 
 from . import data as dat
 from . import metrics as met
-from .special import (ConditionError, NonConvergenceError, NumericError,
-                      TrainingDiverged, a_equation_residual, solve_A)
+from .special import (ConditionError, NumericError, a_equation_residual,
+                      solve_A)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -542,17 +542,10 @@ def _bench_job(source, resolved, fraction, job_seed, with_ensemble):
     return results
 
 
-def _bench_cell(cell):
-    """_bench_job(*cell)'s rows, or the exception that it raised."""
-    try:
-        return _bench_job(*cell)
-    except Exception as exc:
-        return exc
-
-
 def _run_cells(cells, jobs):
     """[_bench_job(*cell) for cell in cells] or its lowest-index failure:
-    the caller runs cells 0, n, 2n, ... and n - 1 forked workers the rest."""
+    the caller runs cells 0, n, 2n, ... and n - 1 forked workers the rest.
+    A worker that dies ends the run after the caller's current cell."""
     n = min(jobs, len(cells)) if hasattr(os, "fork") else 1
     pool, broken, done = None, (), {}
     if n > 1:
@@ -561,12 +554,17 @@ def _run_cells(cells, jobs):
         broken, pool = process.BrokenProcessPool, process.ProcessPoolExecutor(
             n - 1, mp_context=multiprocessing.get_context("fork"))
     try:
-        theirs = {i: pool.submit(_bench_cell, cell)
+        theirs = {i: pool.submit(_bench_job, *cell)
                   for i, cell in enumerate(cells) if i % n}
         for i in range(0, len(cells), n):
-            done[i] = _bench_cell(cells[i])
-            if isinstance(done[i], Exception):
+            try:
+                done[i] = _bench_job(*cells[i])
+            except Exception as exc:
+                done[i] = exc
                 break
+            for future in theirs.values():
+                if future.done() and isinstance(future.exception(), broken):
+                    raise future.exception()
         for i in range(len(cells)):
             done[i] = theirs[i].result() if i % n else done[i]
             if isinstance(done[i], Exception):
@@ -754,7 +752,7 @@ def main(argv=None):
     except ConditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NonConvergenceError, NumericError, TrainingDiverged) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -40,10 +40,6 @@ def softplus(x):
     return np.logaddexp(0.0, x) + POSITIVE_FLOOR
 
 
-def softplus_grad(x):
-    return expit(x)
-
-
 class MlpHead:
     """One network: a scalar-output MLP per name in HEAD_NAMES, stacked in
     one block on a shared input: x -> relu(x W1 + b1) W2 + b2 per head.
@@ -175,7 +171,7 @@ class GcpNetwork(MlpHead):
         nu, alpha, beta = softplus(raw[1:])
         nll, dm, dnu, dalpha, dbeta = nll_terms_arrays(raw[0], nu, alpha,
                                                        beta, y)
-        dout = softplus_grad(raw)
+        dout = expit(raw)
         dout[0] = dm
         dout[1] *= dnu
         dout[2] *= dalpha
@@ -266,7 +262,6 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
             if not np.isfinite(nll).all():
                 bad = int(idx[int(np.argmax(~np.isfinite(nll)))])
                 raise TrainingDiverged(
-                    epoch, batch_no, bad,
                     f"non-finite loss at epoch {epoch}, batch {batch_no}, "
                     f"sample {bad}")
             dout *= 1.0 / len(idx)
@@ -277,7 +272,6 @@ def train(model, features, targets, config: TrainConfig) -> TrainResult:
                                                   model.finite_heads())
                          if not ok]
                 raise TrainingDiverged(
-                    epoch, batch_no, bad,
                     f"non-finite gradient in heads {heads} at epoch "
                     f"{epoch}, batch {batch_no}, sample {bad}")
             model.adam_step(config.learning_rate)

@@ -39,23 +39,13 @@ class ConditionError(ValueError):
     """A precondition on the contamination mixture is violated."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(NumericError):
     """A Newton solve failed; the message carries the iterate diagnostics."""
 
 
-class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite mid-training."""
-
-    def __init__(self, epoch, batch, sample_index, message):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch = batch
-        self.sample_index = sample_index
-
-    def __reduce__(self):
-        # a pickle, as a forked bench worker sends it, keeps every field
-        return type(self), (self.epoch, self.batch, self.sample_index,
-                            *self.args)
+class TrainingDiverged(NumericError):
+    """A loss or gradient stopped being finite mid-training; the message
+    names the epoch, the batch and the sample."""
 
 
 def _psi_tail(x: float) -> float:

@@ -24,6 +24,7 @@ import gcpnet
 from gcpnet import cli
 from gcpnet import data as dat
 from gcpnet import dynamics as dyn
+from gcpnet import special as sp
 
 
 def read_csv(path):
@@ -620,14 +621,15 @@ class TestBench:
         seeds = [int(np.random.SeedSequence(entropy=7, spawn_key=(k,))
                      .generate_state(1)[0]) for k in range(4)]
         failing = {seeds[1]: "child's cell", seeds[2]: "caller's cell"}
-        job = cli._bench_job
+        prepare = cli._prepare_splits
 
-        def bench_job(source, resolved, fraction, job_seed, with_ensemble):
-            if job_seed in failing:
-                raise cli.TrainingDiverged(0, 1, 2, failing[job_seed])
-            return job(source, resolved, fraction, job_seed, with_ensemble)
+        # workers receive _bench_job by name, so the patch goes below it
+        def prepare_splits(source, job):
+            if job["seed"] in failing:
+                raise sp.TrainingDiverged(failing[job["seed"]])
+            return prepare(source, job)
 
-        monkeypatch.setattr(cli, "_bench_job", bench_job)
+        monkeypatch.setattr(cli, "_prepare_splits", prepare_splits)
         ends = []
         for jobs in ("1", "2", "3", "9"):
             out = tmp_path / f"jobs{jobs}"
@@ -659,18 +661,43 @@ class TestBench:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_dead_worker_ends_the_callers_share(self, tmp_path, capsys,
+                                                monkeypatch):
+        # at --jobs 2 the caller runs cells 0 and 2.  The worker dies in
+        # cell 1 while the caller sleeps in cell 0, so cell 2 never starts
+        caller, prepare, started = os.getpid(), cli._prepare_splits, []
+
+        def prepare_splits(source, job):
+            if os.getpid() != caller:
+                os._exit(1)
+            started.append(job["seed"])
+            if len(started) == 1:
+                time.sleep(0.5)
+            return prepare(source, job)
+
+        monkeypatch.setattr(cli, "_prepare_splits", prepare_splits)
+        out = tmp_path / "jobs2"
+        assert cli.main(self.BENCH + ["--jobs", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: a bench worker process died")
+        assert err.count("\n") == 1
+        assert len(started) == 1
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_interrupt_ends_the_workers_cells(self, tmp_path, monkeypatch):
         # the caller is interrupted at its first cell while the worker
         # sleeps in its own; no worker cell may run to its end
         caller = os.getpid()
 
-        def bench_job(source, resolved, fraction, job_seed, with_ensemble):
+        def prepare_splits(source, job):
             if os.getpid() == caller:
                 raise KeyboardInterrupt
             time.sleep(30)
-            (tmp_path / str(job_seed)).touch()
+            (tmp_path / str(job["seed"])).touch()
 
-        monkeypatch.setattr(cli, "_bench_job", bench_job)
+        monkeypatch.setattr(cli, "_prepare_splits", prepare_splits)
         with pytest.raises(KeyboardInterrupt):
             cli.main(self.BENCH + ["--jobs", "3", "--out", str(tmp_path)])
         assert not list(tmp_path.glob("[0-9]*"))
@@ -827,6 +854,19 @@ def test_printed_rows_equal_written_csv(tmp_path, capsys, argv, name):
     printed = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     header, rows = read_csv(tmp_path / name)
     assert printed == [header] + rows
+
+
+@pytest.mark.parametrize("error", [sp.NumericError, sp.NonConvergenceError,
+                                   sp.TrainingDiverged])
+def test_every_numeric_error_exits_3(capsys, monkeypatch, error):
+    def fail(alpha):
+        raise error("no root here")
+
+    monkeypatch.setattr(cli, "solve_A", fail)
+    assert cli.main(["solve-a", "--alpha", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: no root here\n"
+    assert captured.out == ""
 
 
 def test_dynamics_without_subcommand_prints_usage(capsys):

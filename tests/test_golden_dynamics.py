@@ -3,7 +3,9 @@
 the zero-contamination escape run and one settle run.
 
 tests/golden/dynamics.json holds the values and the relative tolerance they
-are compared at.  Step and iteration counts must match exactly.  A change
+are compared at.  Step and iteration counts must match exactly.  The file
+also records the numpy, scipy and BLAS versions and numpy's SIMD targets it
+was made with, as digests.json does, and a mismatch names them.  A change
 that moves dynamics numbers on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_dynamics.py
@@ -19,6 +21,7 @@ import pytest
 
 from gcpnet import dynamics as dyn
 from gcpnet.gcp import GcpParams
+from test_golden import versions
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "dynamics.json"
 
@@ -101,17 +104,22 @@ def load_golden():
 def test_golden_states_its_rule():
     golden = load_golden()
     assert golden["rtol"] == RTOL and golden["rule"] == RULE
+    assert sorted(golden["versions"]) == sorted(versions())
 
 
 @pytest.mark.parametrize("section", ["sweeps", "cold", "escape", "settle"])
 def test_dynamics_values_match_golden(section, computed):
-    bad = _mismatches(computed[section], load_golden()["values"][section],
-                      section)
+    golden = load_golden()
+    bad = _mismatches(computed[section], golden["values"][section], section)
+    if bad and golden["versions"] != versions():
+        bad.insert(0, f"values were made with {golden['versions']}, this "
+                      f"run has {versions()}")
     assert not bad, "\n".join(bad[:10])
 
 
 def main():
-    doc = {"rule": RULE, "rtol": RTOL, "values": compute()}
+    doc = {"rule": RULE, "rtol": RTOL, "versions": versions(),
+           "values": compute()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

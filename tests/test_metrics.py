@@ -24,8 +24,9 @@ class TestRejectionCurve:
     def test_overflowing_errors_are_a_numeric_error(self, preds):
         # finite predictions whose squared errors overflow would give an
         # infinite RMSE after a numpy warning
-        with pytest.raises(NumericError, match="overflow"):
+        with pytest.raises(NumericError, match="overflow") as info:
             met.rejection_curve(preds, [0.1, 0.2], [0.0, 0.0])
+        assert info.type is NumericError
 
     def test_zero_residuals_give_zero_curve(self):
         curve = met.rejection_curve([1.0, 2.0, 3.0], [0.3, 0.1, 0.2],

@@ -178,10 +178,12 @@ class TestQuadratureRules:
     def test_rules_report_nonconvergence(self, monkeypatch):
         # one Newton pass is never enough from the asymptotic starts
         monkeypatch.setattr(sp, "_RULE_NEWTON_CAP", 1)
-        with pytest.raises(sp.NumericError, match="Hermite"):
+        with pytest.raises(sp.NumericError, match="Hermite") as info:
             sp.hermite_rule.__wrapped__(64)
-        with pytest.raises(sp.NumericError, match="Legendre"):
+        assert info.type is sp.NumericError
+        with pytest.raises(sp.NumericError, match="Legendre") as info:
             sp.legendre_rule(64)
+        assert info.type is sp.NumericError
 
 
 def _mp_hermite(y, n, mpmath):
@@ -420,8 +422,9 @@ class TestAlphaTable:
 
     def test_gap_underflow_is_a_numeric_error(self):
         # alpha - A ~ (4/pi) alpha^2 rounds to 0 below alpha = 1.4e-162
-        with pytest.raises(sp.NumericError, match="underflows"):
+        with pytest.raises(sp.NumericError, match="underflows") as info:
             sp.alpha_table().gap_many([1.0, 1e-170])
+        assert info.type is sp.NumericError
 
     def test_gap_many_rejects_nonpositive(self):
         tab = sp.alpha_table()
@@ -433,8 +436,9 @@ class TestAlphaTable:
 
 
 def test_training_diverged_survives_a_pickle():
-    # a forked bench worker sends its failing cell's exception as a pickle
-    exc = pickle.loads(pickle.dumps(sp.TrainingDiverged(0, 1, 2, "m")))
+    # a bench worker's exception comes back through the pool as a pickle
+    message = "non-finite loss at epoch 0, batch 1, sample 2"
+    exc = pickle.loads(pickle.dumps(sp.TrainingDiverged(message)))
     assert type(exc) is sp.TrainingDiverged
-    assert (exc.epoch, exc.batch, exc.sample_index, str(exc)) == (0, 1, 2,
-                                                                  "m")
+    assert isinstance(exc, sp.NumericError)
+    assert str(exc) == message
